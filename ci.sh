@@ -20,7 +20,7 @@ cargo build --release --offline
 echo "=== cargo test -q --offline ==="
 cargo test -q --offline
 
-echo "=== release: differential + parallel + fast-forward + fault + scan equivalence ==="
+echo "=== release: differential + parallel + fast-forward + fault + selection golden ==="
 cargo test -q --release --offline -p fqms-memctrl \
   --test differential --test parallel_equivalence \
   --test fast_forward_equivalence --test fault_differential \
@@ -29,6 +29,12 @@ cargo test -q --release --offline -p fqms-memctrl \
   --test blacklist_properties --test freerun_differential \
   --test rt_wcet --test overload_differential
 cargo test -q --release --offline -p fqms-sim --test freerun_properties
+
+echo "=== perfbench smoke test: the benchmark still builds against crates/ ==="
+# perfbench/ is a separate Cargo package (the repository benchmark, see
+# BENCHMARK.json) with path dependencies on crates/*; an API removal in a
+# crate must fail here, not silently at benchmark time.
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "=== speedup smoke gate: free-run parallel never slower + >=5x over cycle-by-cycle ==="
 # The speedup binary exits nonzero when the free-running parallel engine

@@ -1,22 +1,23 @@
 //! Scheduler-scaling study (ISSUE 6 figure): per-request scheduler cost
 //! and hierarchical fairness from 64 to 4096 threads.
 //!
-//! A single-channel FQ-VFTF controller is driven closed-loop — every
-//! thread keeps a fixed window of reads outstanding, refilled on
-//! completion, so the bank queues stay saturated and their depth grows
-//! linearly with the thread count. Each scale runs twice: once with the
-//! O(log n) tournament-heap index (`ScanKind::Indexed`, the default) and
-//! once with the retained linear reference scan (`ScanKind::Linear`).
-//! Both runs produce bit-identical schedules (enforced by the
-//! `select_differential` release gate); this binary measures what they
-//! *cost* and checks that hierarchical fairness holds at every scale.
+//! A single-channel controller is driven closed-loop — every thread keeps
+//! a fixed window of reads outstanding, refilled on completion, so the
+//! bank queues stay saturated and their depth grows linearly with the
+//! thread count. Each scale runs three cells on the O(log n) selection
+//! index: FQ-VFTF, BLISS (whose blacklist moves threads between priority
+//! tiers), and FQ-VFTF under real-time regulation (whose token buckets
+//! demote and promote a quarter of the threads every period). This
+//! binary measures what selection *costs* per request as the queues
+//! deepen, and checks that hierarchical fairness holds at every scale.
 //!
 //! Emits `BENCH_pr6.json` (schema documented in README.md and
 //! EXPERIMENTS.md, overridable via `FQMS_BENCH_PR6`) and acts as a perf
-//! smoke gate: exits nonzero if the indexed per-request cost grows by
-//! more than 2x from the smallest to the largest scale, or if the
-//! per-tenant relative service error versus the phi allocation exceeds
-//! 5% at any scale on the indexed path.
+//! smoke gate: exits nonzero if the FQ-VFTF or BLISS per-request cost
+//! grows by more than 2x from the smallest to the largest scale, or if
+//! the FQ-VFTF per-tenant relative service error versus the phi
+//! allocation exceeds 5% at any scale. The regulated cell's cost ratio is
+//! reported, not gated.
 
 use fqms_bench::{f, header, row, seed};
 use fqms_dram::command::{BankId, ColId, DramAddress, RankId, RowId};
@@ -34,6 +35,47 @@ const WINDOW: u32 = 2;
 /// Threads per tenant in the symmetric share tree (64 threads → 4
 /// tenants, 4096 threads → 256 tenants).
 const THREADS_PER_TENANT: usize = 16;
+
+/// One scheduler configuration measured at every scale.
+#[derive(Clone, Copy)]
+enum Cell {
+    FqVftf,
+    Bliss,
+    /// FQ-VFTF with every fourth thread a real-time class (budget
+    /// [`WINDOW`] per 1000-cycle period, no bank partitioning) and the
+    /// rest best-effort.
+    Regulated,
+}
+
+impl Cell {
+    const ALL: [Cell; 3] = [Cell::FqVftf, Cell::Bliss, Cell::Regulated];
+
+    fn key(self) -> &'static str {
+        match self {
+            Cell::FqVftf => "fq_vftf",
+            Cell::Bliss => "bliss",
+            Cell::Regulated => "regulated",
+        }
+    }
+
+    fn config(self, tree: &ShareTree) -> McConfig {
+        match self {
+            Cell::FqVftf => McConfig::hierarchical(SchedulerKind::FqVftf, tree.clone()),
+            Cell::Bliss => McConfig::hierarchical(SchedulerKind::Bliss, tree.clone()),
+            Cell::Regulated => {
+                let mut reg = RegulationConfig::new(1_000).partitioned(false);
+                for t in 0..tree.num_threads() {
+                    reg = if t % 4 == 0 {
+                        reg.rt_class(u64::from(WINDOW), None)
+                    } else {
+                        reg.best_effort()
+                    };
+                }
+                McConfig::hierarchical(SchedulerKind::FqVftf, tree.clone()).with_regulation(reg)
+            }
+        }
+    }
+}
 
 struct ScaleResult {
     wall_s: f64,
@@ -87,10 +129,9 @@ fn scale_tree(threads: usize) -> ShareTree {
 /// Sizing the run as a fixed number of rounds makes the fairness gate
 /// scale-invariant instead of drowning large scales in partial-round
 /// quantization.
-fn run_scale(threads: usize, target: u64, scan: ScanKind, master_seed: u64) -> ScaleResult {
+fn run_scale(threads: usize, target: u64, cell: Cell, master_seed: u64) -> ScaleResult {
     let tree = scale_tree(threads);
-    let mut config = McConfig::hierarchical(SchedulerKind::FqVftf, tree.clone());
-    config.scan = scan;
+    let config = cell.config(&tree);
     let geometry = Geometry::paper();
     let mut mc = MemoryController::new(config, geometry, TimingParams::ddr2_800())
         .unwrap_or_else(|e| panic!("scaling: invalid config at {threads} threads: {e}"));
@@ -101,7 +142,7 @@ fn run_scale(threads: usize, target: u64, scan: ScanKind, master_seed: u64) -> S
     // backlogged at its bank*, which is the regime where per-bank virtual
     // finish ordering delivers service proportional to phi; it also makes
     // each bank queue's depth grow linearly with the thread count, which
-    // is exactly the load the linear scan degrades on. (Scattering
+    // is exactly the load an O(n) selection would degrade on. (Scattering
     // requests over random banks instead would leave each thread absent
     // from most banks most of the time, and a window of 2 cannot keep
     // per-bank backlog — service then compresses toward equal regardless
@@ -177,103 +218,106 @@ fn main() {
     // Horizon in service rounds (window refills per thread). The
     // intrinsic FQ unfairness is one partial round, so the expected
     // relative error is ~0.5/rounds — comfortably under the 5% gate at
-    // every setting below. The linear reference runs the identical
-    // schedule; its cost is normalized per completed request, so shared
-    // horizons keep the comparison honest while bounding the O(n)-scan
-    // wall clock.
+    // every setting below. Costs are normalized per completed request.
     let rounds: u64 = match std::env::var("FQMS_RUNLEN").as_deref() {
         Ok("quick") => 32,
         Ok("full") => 96,
         _ => 48,
     };
 
-    println!("== FQ-VFTF scheduler scaling: indexed heap vs linear scan ==");
+    println!("== Scheduler scaling on the O(log n) index: FQ-VFTF, BLISS, regulated ==");
     header(&[
         "threads",
         "tenants",
-        "cycles",
-        "indexed_us_per_req",
-        "linear_us_per_req",
-        "linear_over_indexed",
-        "indexed_rel_err",
-        "linear_rel_err",
+        "fq_vftf_us_per_req",
+        "bliss_us_per_req",
+        "regulated_us_per_req",
+        "fq_vftf_rel_err",
+        "bliss_rel_err",
+        "regulated_rel_err",
     ]);
 
     let scales = [64usize, 256, 1024, 4096];
     let mut entries = Vec::new();
-    let mut indexed_costs = Vec::new();
+    // Per-request cost per cell, one entry per scale.
+    let mut costs: Vec<Vec<f64>> = vec![Vec::new(); Cell::ALL.len()];
     let mut fairness_failed = false;
     for &threads in &scales {
         let target = rounds * threads as u64 * u64::from(WINDOW);
-        let indexed = run_scale(threads, target, ScanKind::Indexed, seed);
-        let linear = run_scale(threads, target, ScanKind::Linear, seed);
-        assert_eq!(
-            (indexed.completed, indexed.cycles),
-            (linear.completed, linear.cycles),
-            "{threads} threads: scan kinds diverged on the serviced schedule"
-        );
-        if indexed.max_rel_err > 0.05 {
+        let results: Vec<ScaleResult> = Cell::ALL
+            .iter()
+            .map(|&cell| run_scale(threads, target, cell, seed))
+            .collect();
+        let fq = &results[0];
+        if fq.max_rel_err > 0.05 {
             eprintln!(
-                "FAIRNESS GATE FAILED: {threads} threads: tenant service error \
-                 {:.4} exceeds 5% on the indexed path",
-                indexed.max_rel_err
+                "FAIRNESS GATE FAILED: {threads} threads: FQ-VFTF tenant service error \
+                 {:.4} exceeds 5%",
+                fq.max_rel_err
             );
             fairness_failed = true;
         }
-        row(&[
+        let mut cells = vec![
             threads.to_string(),
             (threads / THREADS_PER_TENANT).to_string(),
-            indexed.cycles.to_string(),
-            f(indexed.cost_us),
-            f(linear.cost_us),
-            f(linear.cost_us / indexed.cost_us),
-            f(indexed.max_rel_err),
-            f(linear.max_rel_err),
-        ]);
-        indexed_costs.push(indexed.cost_us);
+        ];
+        cells.extend(results.iter().map(|r| f(r.cost_us)));
+        cells.extend(results.iter().map(|r| f(r.max_rel_err)));
+        row(&cells);
+        let cell_json: Vec<String> = Cell::ALL
+            .iter()
+            .zip(&results)
+            .map(|(cell, r)| {
+                format!(
+                    concat!(
+                        "\"{}\": {{\"cycles\": {}, \"completed\": {}, \"wall_s\": {:.6}, ",
+                        "\"us_per_request\": {:.4}, \"max_rel_service_err\": {:.6}, ",
+                        "\"max_rel_thread_err\": {:.6}}}"
+                    ),
+                    cell.key(),
+                    r.cycles,
+                    r.completed,
+                    r.wall_s,
+                    r.cost_us,
+                    r.max_rel_err,
+                    r.max_thread_err,
+                )
+            })
+            .collect();
+        for (c, r) in costs.iter_mut().zip(&results) {
+            c.push(r.cost_us);
+        }
         entries.push(format!(
-            concat!(
-                "    {{\"threads\": {}, \"tenants\": {}, \"cycles\": {}, ",
-                "\"completed\": {}, ",
-                "\"indexed\": {{\"wall_s\": {:.6}, \"us_per_request\": {:.4}, ",
-                "\"max_rel_service_err\": {:.6}, \"max_rel_thread_err\": {:.6}}}, ",
-                "\"linear\": {{\"wall_s\": {:.6}, \"us_per_request\": {:.4}, ",
-                "\"max_rel_service_err\": {:.6}, \"max_rel_thread_err\": {:.6}}}}}"
-            ),
+            "    {{\"threads\": {}, \"tenants\": {},\n      {}}}",
             threads,
             threads / THREADS_PER_TENANT,
-            indexed.cycles,
-            indexed.completed,
-            indexed.wall_s,
-            indexed.cost_us,
-            indexed.max_rel_err,
-            indexed.max_thread_err,
-            linear.wall_s,
-            linear.cost_us,
-            linear.max_rel_err,
-            linear.max_thread_err,
+            cell_json.join(",\n      "),
         ));
     }
 
-    let cost_ratio = indexed_costs.last().unwrap() / indexed_costs.first().unwrap();
+    let ratio = |c: &Vec<f64>| c.last().unwrap() / c.first().unwrap();
+    let (fq_ratio, bliss_ratio, regulated_ratio) =
+        (ratio(&costs[0]), ratio(&costs[1]), ratio(&costs[2]));
     let json = format!(
         concat!(
             "{{\n  \"bench\": \"pr6_scaling\",\n  \"seed\": {},\n",
             "  \"workload\": {{\"generator\": \"closed_loop_bank_camping\", ",
             "\"window\": {}, \"kind\": \"read\"}},\n",
-            "  \"controller\": {{\"scheduler\": \"FQ-VFTF\", \"channels\": 1, ",
+            "  \"controller\": {{\"channels\": 1, ",
             "\"geometry\": \"paper\", \"timing\": \"ddr2_800\", ",
             "\"threads_per_tenant\": {}}},\n",
             "  \"scales\": [\n{}\n  ],\n",
-            "  \"gates\": {{\"indexed_cost_ratio\": {:.4}, ",
-            "\"indexed_cost_ratio_max\": 2.0, ",
+            "  \"gates\": {{\"fq_vftf_cost_ratio\": {:.4}, \"bliss_cost_ratio\": {:.4}, ",
+            "\"cost_ratio_max\": 2.0, \"regulated_cost_ratio\": {:.4}, ",
             "\"fairness_err_max\": 0.05}}\n}}\n"
         ),
         seed,
         WINDOW,
         THREADS_PER_TENANT,
         entries.join(",\n"),
-        cost_ratio,
+        fq_ratio,
+        bliss_ratio,
+        regulated_ratio,
     );
     let path = std::env::var("FQMS_BENCH_PR6").unwrap_or_else(|_| "BENCH_pr6.json".to_string());
     match fqms_sim::snapshot::write_atomic(std::path::Path::new(&path), json.as_bytes()) {
@@ -281,16 +325,19 @@ fn main() {
         Err(e) => eprintln!("scaling: cannot write {path}: {e}"),
     }
 
-    if cost_ratio > 2.0 {
-        eprintln!(
-            "PERF SMOKE FAILED: indexed per-request cost grew {cost_ratio:.2}x \
-             from {} to {} threads (gate: 2x)",
-            scales[0],
-            scales[scales.len() - 1]
-        );
-        std::process::exit(1);
+    let mut perf_failed = false;
+    for (name, ratio) in [("FQ-VFTF", fq_ratio), ("BLISS", bliss_ratio)] {
+        if ratio > 2.0 {
+            eprintln!(
+                "PERF SMOKE FAILED: {name} per-request cost grew {ratio:.2}x \
+                 from {} to {} threads (gate: 2x)",
+                scales[0],
+                scales[scales.len() - 1]
+            );
+            perf_failed = true;
+        }
     }
-    if fairness_failed {
+    if perf_failed || fairness_failed {
         std::process::exit(1);
     }
 }

@@ -77,7 +77,6 @@ impl Drop for RunLog {
         eprintln!("#parallel_workers\t{}", exec.workers_peak);
         eprintln!("#parallel_steals\t{}", exec.steals);
         eprintln!("#parallel_free_run_spans\t{}", exec.free_run_spans);
-        eprintln!("#parallel_barrier_waits\t{}", exec.barrier_waits);
     }
 }
 

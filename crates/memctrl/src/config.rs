@@ -2,32 +2,8 @@
 //! for hierarchical phi allocations (ISSUE 6).
 
 use crate::policy::{
-    BufferSharing, InversionBound, RefreshPolicy, RowPolicy, ScanKind, SchedulerKind, VftBinding,
+    BufferSharing, InversionBound, RefreshPolicy, RowPolicy, SchedulerKind, VftBinding,
 };
-
-/// Typed error for a scheduler/scan-kind combination the controller
-/// cannot honour (ISSUE 7): BLISS mutates request *ordering* (the
-/// blacklist tier) between scheduling decisions, which the static-key
-/// indexed scan cannot represent.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UnsupportedScanError {
-    /// The offending scheduler.
-    pub scheduler: SchedulerKind,
-    /// The scan kind it cannot run under.
-    pub scan: ScanKind,
-}
-
-impl std::fmt::Display for UnsupportedScanError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "scheduler {} does not support ScanKind::{:?}; use ScanKind::Linear",
-            self.scheduler, self.scan
-        )
-    }
-}
-
-impl std::error::Error for UnsupportedScanError {}
 
 /// One tenant in a two-level share tree: a fraction of the whole memory
 /// system, subdivided among the tenant's member threads by relative
@@ -214,7 +190,7 @@ pub struct ClassSpec {
 ///
 /// ```
 /// use fqms_memctrl::config::{McConfig, RegulationConfig};
-/// use fqms_memctrl::policy::{ScanKind, SchedulerKind};
+/// use fqms_memctrl::policy::SchedulerKind;
 ///
 /// let cfg = McConfig::paper(3, SchedulerKind::FqVftf).with_regulation(
 ///     RegulationConfig::new(10_000) // replenish period, DRAM cycles
@@ -223,8 +199,6 @@ pub struct ClassSpec {
 ///         .best_effort(),
 /// );
 /// cfg.validate().unwrap();
-/// // Dynamic tiers are a linear-scan feature; the builder downgrades.
-/// assert_eq!(cfg.scan, ScanKind::Linear);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct RegulationConfig {
@@ -537,10 +511,6 @@ pub struct McConfig {
     /// other); the tree additionally labels threads with tenants for
     /// per-tenant accounting ([`crate::stats::McStats::tenant_totals`]).
     pub share_tree: Option<ShareTree>,
-    /// Bank-scheduler selection implementation (default: indexed). The
-    /// linear reference is retained for differential testing and the
-    /// scaling figure's baseline.
-    pub scan: ScanKind,
     /// Transaction-buffer entries per thread (paper: 16).
     pub transaction_entries: usize,
     /// Write-buffer entries per thread (paper: 8).
@@ -574,12 +544,9 @@ pub struct McConfig {
     /// Real-time mode (ISSUE 9): per-thread bank partitioning plus
     /// token-bucket bandwidth regulation, prioritizing in-budget
     /// real-time requests over best-effort traffic. `None` (the
-    /// default) disables regulation entirely. Requires
-    /// [`ScanKind::Linear`] (dynamic tiers, like BLISS's) and is
-    /// mutually exclusive with [`SchedulerKind::Bliss`], whose blacklist
-    /// would fight the regulator for the tier bit. Set via
-    /// [`McConfig::with_regulation`], which downgrades the scan kind
-    /// automatically.
+    /// default) disables regulation entirely. Mutually exclusive with
+    /// [`SchedulerKind::Bliss`], whose blacklist would fight the
+    /// regulator for the tier bit. Set via [`McConfig::with_regulation`].
     pub regulation: Option<RegulationConfig>,
     /// Overload control (ISSUE 10): slowdown-feedback admission
     /// throttling plus tiered load shedding in front of the scheduler.
@@ -610,7 +577,6 @@ impl McConfig {
             scheduler,
             shares,
             share_tree: None,
-            scan: Self::default_scan(scheduler),
             transaction_entries: 16,
             write_entries: 8,
             inversion_bound: InversionBound::TRas,
@@ -627,63 +593,20 @@ impl McConfig {
         }
     }
 
-    /// Enables real-time regulation, downgrading `scan` to
-    /// [`ScanKind::Linear`] (the tier bit regulation drives is a
-    /// linear-scan feature; the indexed path bakes static keys). See
-    /// [`RegulationConfig`] for an example.
+    /// Enables real-time regulation. See [`RegulationConfig`] for an
+    /// example.
     pub fn with_regulation(mut self, regulation: RegulationConfig) -> Self {
         self.regulation = Some(regulation);
-        self.scan = ScanKind::Linear;
         self
     }
 
     /// Enables overload control (admission throttling and/or tiered
-    /// load shedding). Unlike regulation this is scan-kind agnostic:
-    /// the layer acts purely at admission and never touches the
-    /// scheduling tier. See [`OverloadConfig`] for an example.
+    /// load shedding). The layer acts purely at admission and never
+    /// touches the scheduling tier. See [`OverloadConfig`] for an
+    /// example.
     pub fn with_overload(mut self, overload: OverloadConfig) -> Self {
         self.overload = Some(overload);
         self
-    }
-
-    /// The widest scan kind `scheduler` supports: indexed for everything
-    /// except BLISS, which is linear-only (see
-    /// [`SchedulerKind::supports_indexed_scan`]).
-    pub fn default_scan(scheduler: SchedulerKind) -> ScanKind {
-        if scheduler.supports_indexed_scan() {
-            ScanKind::Indexed
-        } else {
-            ScanKind::Linear
-        }
-    }
-
-    /// Sets the scheduler, downgrading `scan` to [`ScanKind::Linear`] when
-    /// the new scheduler does not support the indexed path. Sweeps that
-    /// mutate `scheduler` on a prebuilt config should use this instead of
-    /// direct field assignment so BLISS never trips
-    /// [`McConfig::validate_scan`].
-    pub fn set_scheduler(&mut self, scheduler: SchedulerKind) {
-        self.scheduler = scheduler;
-        if !scheduler.supports_indexed_scan() && self.scan == ScanKind::Indexed {
-            self.scan = ScanKind::Linear;
-        }
-    }
-
-    /// Checks the scheduler/scan-kind combination.
-    ///
-    /// # Errors
-    ///
-    /// Returns a typed [`UnsupportedScanError`] when the configured
-    /// scheduler cannot run under the configured scan kind (currently:
-    /// BLISS with [`ScanKind::Indexed`]).
-    pub fn validate_scan(&self) -> Result<(), UnsupportedScanError> {
-        if self.scan == ScanKind::Indexed && !self.scheduler.supports_indexed_scan() {
-            return Err(UnsupportedScanError {
-                scheduler: self.scheduler,
-                scan: self.scan,
-            });
-        }
-        Ok(())
     }
 
     /// The paper configuration with hierarchical shares: per-thread
@@ -755,7 +678,6 @@ impl McConfig {
         if self.starvation_threshold == Some(0) {
             return Err("starvation_threshold must be positive (or None to disable)".into());
         }
-        self.validate_scan().map_err(|e| e.to_string())?;
         if self.bliss_threshold == 0 {
             return Err("bliss_threshold must be positive".into());
         }
@@ -769,11 +691,6 @@ impl McConfig {
                     "regulation is mutually exclusive with SchedulerKind::Bliss \
                      (both drive the priority tier)"
                         .into(),
-                );
-            }
-            if self.scan == ScanKind::Indexed {
-                return Err(
-                    "regulation requires ScanKind::Linear (use McConfig::with_regulation)".into(),
                 );
             }
         }
@@ -829,33 +746,6 @@ mod tests {
         assert!(cfg.validate().is_err());
         cfg.starvation_threshold = Some(10_000);
         cfg.validate().unwrap();
-    }
-
-    #[test]
-    fn bliss_defaults_to_linear_scan_and_indexed_is_rejected() {
-        let cfg = McConfig::paper(4, SchedulerKind::Bliss);
-        assert_eq!(cfg.scan, ScanKind::Linear);
-        cfg.validate().unwrap();
-
-        let mut bad = cfg.clone();
-        bad.scan = ScanKind::Indexed;
-        let err = bad.validate_scan().unwrap_err();
-        assert_eq!(err.scheduler, SchedulerKind::Bliss);
-        assert_eq!(err.scan, ScanKind::Indexed);
-        assert!(err.to_string().contains("BLISS"));
-        assert!(bad.validate().is_err());
-
-        // set_scheduler downgrades the scan instead of tripping validate.
-        let mut swept = McConfig::paper(4, SchedulerKind::FqVftf);
-        assert_eq!(swept.scan, ScanKind::Indexed);
-        swept.set_scheduler(SchedulerKind::Bliss);
-        assert_eq!(swept.scan, ScanKind::Linear);
-        swept.validate().unwrap();
-        // ... and leaves an explicit Linear choice alone for others.
-        let mut linear = McConfig::paper(4, SchedulerKind::FqVftf);
-        linear.scan = ScanKind::Linear;
-        linear.set_scheduler(SchedulerKind::SdVftf);
-        assert_eq!(linear.scan, ScanKind::Linear);
     }
 
     #[test]
@@ -940,9 +830,8 @@ mod tests {
     }
 
     #[test]
-    fn regulation_builder_downgrades_scan_and_validates() {
+    fn regulation_builder_validates() {
         let cfg = McConfig::paper(3, SchedulerKind::FqVftf).with_regulation(rt_reg(10_000));
-        assert_eq!(cfg.scan, ScanKind::Linear);
         cfg.validate().unwrap();
         let reg = cfg.regulation.as_ref().unwrap();
         assert!(reg.partition);
@@ -951,11 +840,7 @@ mod tests {
     }
 
     #[test]
-    fn regulation_rejects_indexed_scan_bliss_and_bad_shapes() {
-        let mut cfg = McConfig::paper(3, SchedulerKind::FqVftf).with_regulation(rt_reg(10_000));
-        cfg.scan = ScanKind::Indexed;
-        assert!(cfg.validate().unwrap_err().contains("ScanKind::Linear"));
-
+    fn regulation_rejects_bliss_and_bad_shapes() {
         let bliss = McConfig::paper(3, SchedulerKind::Bliss).with_regulation(rt_reg(10_000));
         assert!(bliss.validate().unwrap_err().contains("Bliss"));
 

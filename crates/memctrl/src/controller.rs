@@ -27,12 +27,10 @@ use crate::buffers::{Nack, ThreadBuffers};
 use crate::cmdlog::{CommandLog, CommandRecord};
 use crate::config::McConfig;
 use crate::overload::OverloadState;
-use crate::policy::{
-    BufferSharing, Priority, RefreshPolicy, RowPolicy, ScanKind, SchedulerKind, VftBinding,
-};
+use crate::policy::{BufferSharing, Priority, RefreshPolicy, RowPolicy, SchedulerKind, VftBinding};
 use crate::regulate::RegulatorState;
 use crate::request::{MemoryRequest, RequestId, RequestKind, ThreadId};
-use crate::select::{BankQueue, Pending};
+use crate::select::{BankQueue, Pending, ThreadTiers, TIERS};
 use crate::slowdown::SlowdownEstimator;
 use crate::stats::McStats;
 use crate::vtms::{bank_service, Vtms};
@@ -183,10 +181,13 @@ pub struct MemoryController {
     config: McConfig,
     dram: DramDevice,
     map: AddressMap,
-    /// Pending request queue per global bank (admission order preserved,
-    /// plus the indexed-selection structures when `config.scan` asks for
-    /// them — see [`crate::select`]).
+    /// Pending request queue per global bank: admission order plus the
+    /// tiered selection index (see [`crate::select`]).
     queues: Vec<BankQueue>,
+    /// Each thread's priority tier and queued entries, present exactly
+    /// when a tier source (BLISS or regulation) is configured; without
+    /// one every entry stays in tier 0.
+    tiers: Option<ThreadTiers>,
     buffers: Vec<ThreadBuffers>,
     vtms: Vec<Vtms>,
     inflight_reads: Vec<Completion>,
@@ -290,7 +291,6 @@ impl MemoryController {
             tripped: vec![false; config.num_threads()],
             next_due: 0,
         });
-        let indexed = config.scan == ScanKind::Indexed;
         let vftf = config.scheduler.uses_vftf();
         let slowdown = SlowdownEstimator::new(config.num_threads());
         let bliss = (config.scheduler == SchedulerKind::Bliss).then(|| {
@@ -305,10 +305,18 @@ impl MemoryController {
             .overload
             .as_ref()
             .map(|o| OverloadState::new(o, config.regulation.as_ref()));
+        let tiers = (bliss.is_some() || regulate.is_some()).then(|| {
+            ThreadTiers::new(
+                (0..config.num_threads())
+                    .map(|t| tier_of(bliss.as_ref(), regulate.as_ref(), t))
+                    .collect(),
+            )
+        });
         Ok(MemoryController {
             map: AddressMap::new(geometry, config.line_bytes),
             dram: DramDevice::new(geometry, timing),
-            queues: vec![BankQueue::new(indexed, vftf); total_banks],
+            queues: vec![BankQueue::new(vftf); total_banks],
+            tiers,
             buffers,
             vtms,
             inflight_reads: Vec::new(),
@@ -728,11 +736,20 @@ impl MemoryController {
         } else {
             None
         };
-        self.queues[bank_idx].push(Pending {
+        let pending = Pending {
             req,
             vft,
             ras_issued: 0,
-        });
+        };
+        match self.tiers.as_mut() {
+            Some(tt) => {
+                let slot = self.queues[bank_idx].push(pending, tt.tier(tid));
+                tt.note_push(tid, bank_idx, slot, id.as_u64(), &self.queues);
+            }
+            None => {
+                self.queues[bank_idx].push(pending, 0);
+            }
+        }
         self.queued += 1;
         self.occupied.insert(bank_idx);
         self.bank_cache[bank_idx].valid = false;
@@ -766,6 +783,24 @@ impl MemoryController {
             // scan trigger down so the deadline cycle is actually checked
             // (essential when `next_due` had drained to `u64::MAX`).
             w.next_due = w.next_due.min(now.as_u64().saturating_add(w.threshold));
+        }
+    }
+
+    /// Re-derives the priority tier of each thread in `threads` from the
+    /// tier source and moves the queued entries of every thread whose
+    /// tier flipped, dropping the memoized proposal of each bank an entry
+    /// moved in. Called at the four points a tier can flip (a BLISS
+    /// blacklisting or clearing, a bucket exhausting or replenishing), so
+    /// every entry sits in its thread's current tier whenever a bank
+    /// scheduler runs.
+    fn sync_tiers(&mut self, threads: std::ops::Range<usize>) {
+        let Some(tt) = self.tiers.as_mut() else {
+            return;
+        };
+        let cache = &mut self.bank_cache;
+        for t in threads {
+            let tier = tier_of(self.bliss.as_ref(), self.regulate.as_ref(), t);
+            tt.set(t, tier, &mut self.queues, |bank| cache[bank].valid = false);
         }
     }
 
@@ -1003,25 +1038,25 @@ impl MemoryController {
         }
         // BLISS clearing interval: wipe blacklist flags at every elapsed
         // boundary *before* scheduling, so the boundary cycle already
-        // schedules with a clean slate. A wipe changes the tier bits the
-        // memoized proposals were ranked under, so every bank cache drops.
-        if let Some(b) = self.bliss.as_mut() {
-            if b.maybe_clear(now.as_u64()) {
-                for cache in &mut self.bank_cache {
-                    cache.valid = false;
-                }
-            }
+        // schedules with a clean slate (every blacklisted thread's
+        // entries return to tier 0).
+        if self
+            .bliss
+            .as_mut()
+            .is_some_and(|b| b.maybe_clear(now.as_u64()))
+        {
+            self.sync_tiers(0..self.config.num_threads());
         }
         // Regulator replenish boundary: refill every token bucket before
         // scheduling, so the boundary cycle already schedules with the
-        // restored tiers. A refill can promote a demoted thread, changing
-        // the tier bits memoized proposals were ranked under.
-        if let Some(rg) = self.regulate.as_mut() {
-            if rg.maybe_replenish(now.as_u64()) {
-                for cache in &mut self.bank_cache {
-                    cache.valid = false;
-                }
-            }
+        // restored tiers (a refill promotes every demoted real-time
+        // thread).
+        if self
+            .regulate
+            .as_mut()
+            .is_some_and(|rg| rg.maybe_replenish(now.as_u64()))
+        {
+            self.sync_tiers(0..self.config.num_threads());
         }
         // Overload boundaries: refill admission tokens / reclassify hogs,
         // and walk the saturation ladder — before scheduling, so the
@@ -1365,12 +1400,7 @@ impl MemoryController {
         let geometry = *self.dram.geometry();
         let kind = self.config.scheduler;
         let inversion = self.inversion_cycles;
-        let scan = self.config.scan;
-        let ctx = SchedCtx {
-            blacklist: self.bliss.as_ref().map(BlissState::blacklist),
-            est: (kind == SchedulerKind::SdVftf).then_some(&self.slowdown),
-            reg: self.regulate.as_ref(),
-        };
+        let est = (kind == SchedulerKind::SdVftf).then_some(&self.slowdown);
 
         // Masked sweep: a bank outside `occupied ∪ open` has an empty
         // queue and a closed row, so the dense loop's body would compute
@@ -1436,15 +1466,11 @@ impl MemoryController {
                 if cache.valid && cache.ready == ready && cache.locked == lock.is_some() {
                     cache.proposal
                 } else {
-                    let propose = match scan {
-                        ScanKind::Linear => propose_linear::<O>,
-                        ScanKind::Indexed => propose_indexed::<O>,
-                    };
                     let proposal = propose(
                         &mut self.queues[bank_idx],
                         ready,
                         lock,
-                        ctx,
+                        est,
                         &self.vtms,
                         kind,
                         bank_idx,
@@ -1455,6 +1481,13 @@ impl MemoryController {
                         &timing,
                         &mut self.lock_armed[bank_idx],
                         obs,
+                    );
+                    debug_assert!(
+                        proposal.is_none_or(|p| p.source.is_none_or(|(b, slot)| {
+                            let t = self.queues[b].get(slot as u32).req.thread.as_usize();
+                            p.prio.tier == tier_of(self.bliss.as_ref(), self.regulate.as_ref(), t)
+                        })),
+                        "proposal ranked under a stale tier"
                     );
                     self.bank_cache[bank_idx] = BankCache {
                         valid: true,
@@ -1565,25 +1598,21 @@ impl MemoryController {
         if self.queues[bank_idx].is_empty() {
             self.occupied.remove(bank_idx);
         }
-        // BLISS counts one bank service per CAS. A threshold crossing
-        // flips a blacklist flag, which changes the tier bits every
-        // memoized proposal was ranked under: drop all bank caches.
-        if let Some(b) = self.bliss.as_mut() {
-            if b.record_service(req.thread.as_u32()) {
-                for cache in &mut self.bank_cache {
-                    cache.valid = false;
-                }
-            }
-        }
-        // The regulator also counts one bank service per CAS. Exhausting a
-        // bucket demotes the thread to the best-effort tier, which changes
-        // the tier bits every memoized proposal was ranked under.
-        if let Some(rg) = self.regulate.as_mut() {
-            if rg.consume(req.thread.as_u32()) {
-                for cache in &mut self.bank_cache {
-                    cache.valid = false;
-                }
-            }
+        // BLISS counts one bank service per CAS; a threshold crossing
+        // blacklists the thread. The regulator also counts one bank
+        // service per CAS; exhausting a bucket demotes the thread to the
+        // best-effort tier. Either way only this thread's tier flips.
+        let t = req.thread.as_usize();
+        if self
+            .bliss
+            .as_mut()
+            .is_some_and(|b| b.record_service(t as u32))
+            || self
+                .regulate
+                .as_mut()
+                .is_some_and(|rg| rg.consume(t as u32))
+        {
+            self.sync_tiers(t..t + 1);
         }
         let ts = self.stats.thread_mut(req.thread);
         ts.bus_busy_cycles += timing.burst;
@@ -1730,11 +1759,12 @@ pub(crate) fn get_completion(r: &mut SectionReader<'_>) -> Result<Completion, Sn
 ///   target), the `BankCache` memo — it is invalidated wholesale on
 ///   restore and repopulated by the first post-resume scheduling pass,
 ///   which recomputes exactly the decisions the cache would have replayed —
-///   and the `BankQueue` index structures (row-group heaps, tournament
-///   tree, unbound list): re-pushing the serialized admission-order entries
-///   reconstructs them, and the exactness argument in [`crate::select`]
-///   guarantees the rebuilt (renumbered) layout selects identically. The
-///   queue byte format is therefore independent of [`ScanKind`].
+///   and the `BankQueue` index structures (per-tier row-group heaps and
+///   tournaments, unbound list) with every entry's priority tier:
+///   re-pushing the serialized admission-order entries reconstructs them,
+///   each thread's tier is re-derived from the restored BLISS or
+///   regulator state, and the exactness argument in [`crate::select`]
+///   guarantees the rebuilt (renumbered) layout selects identically.
 impl Snapshot for MemoryController {
     fn save(&self, w: &mut SectionWriter) {
         self.dram.save(w);
@@ -1823,7 +1853,8 @@ impl Snapshot for MemoryController {
             let len = r.seq_len()?;
             q.clear();
             for _ in 0..len {
-                q.push(get_pending(r)?);
+                // Tiers are rebuilt below, once the tier sources are back.
+                q.push(get_pending(r)?, 0);
             }
             queued += len;
         }
@@ -1980,6 +2011,12 @@ impl Snapshot for MemoryController {
         for cache in &mut self.bank_cache {
             cache.valid = false;
         }
+        if let Some(tt) = self.tiers.as_mut() {
+            let tiers = (0..self.config.num_threads())
+                .map(|t| tier_of(self.bliss.as_ref(), self.regulate.as_ref(), t))
+                .collect();
+            tt.rebuild(tiers, &mut self.queues);
+        }
         Ok(())
     }
 }
@@ -2026,55 +2063,52 @@ fn classify(p: &Pending, open_row: Option<RowId>, ready: ReadyClasses) -> (bool,
     }
 }
 
-/// Slowdown-aware scheduler context threaded through both scan paths (the
-/// signatures must match for the fn-pointer dispatch in
-/// `schedule_normal`).
+/// The priority tier the active tier source assigns `thread`: 1 when
+/// BLISS-blacklisted or outside its real-time budget (best-effort
+/// classes and exhausted real-time buckets), else 0. BLISS and
+/// regulation are mutually exclusive (`McConfig::validate`), so at most
+/// one source demotes.
+fn tier_of(bliss: Option<&BlissState>, reg: Option<&RegulatorState>, thread: usize) -> u8 {
+    u8::from(
+        bliss.is_some_and(|b| b.is_blacklisted(thread as u32))
+            || reg.is_some_and(|r| !r.in_budget(thread as u32)),
+    )
+}
+
+/// The bank scheduler (free function so the borrow of the queue is
+/// disjoint from the device and VTMS borrows): selects in O(log n) from
+/// the tiered index exactly what a linear scan ranking the queue by
+/// [`Priority`] would (see the exactness argument in [`crate::select`]).
+/// The caller has already probed bank-level readiness (`ready`) and FQ
+/// lock engagement (`lock`, `Some(active_for)` when the inversion bound
+/// has tripped); the queue is non-empty. `est` is `Some` exactly under
+/// SD-VFTF.
 ///
-/// * `blacklist` is `Some` exactly when BLISS is active: blacklisted
-///   threads rank at [`Priority`] tier 1 (Linear-only — `McConfig`
-///   rejects BLISS with `ScanKind::Indexed`, whose static-key heaps
-///   cannot express a dynamic tier).
-/// * `est` is `Some` exactly when SD-VFTF is active: VFT keys are
-///   divided by the thread's current slowdown estimate at bind time, so
-///   the most-slowed-down thread sorts first. Keys are static once bound
-///   (the estimator only advances on completions), preserving the select
-///   index invariants.
-/// * `reg` is `Some` exactly when the real-time regulator is active:
-///   threads that are not in budget (best-effort classes and exhausted
-///   real-time buckets) rank at tier 1, so every in-budget real-time
-///   request beats every best-effort request at both the bank and channel
-///   schedulers (Linear-only, like BLISS).
-#[derive(Clone, Copy)]
-struct SchedCtx<'a> {
-    blacklist: Option<&'a [bool]>,
-    est: Option<&'a SlowdownEstimator>,
-    reg: Option<&'a RegulatorState>,
-}
-
-impl SchedCtx<'_> {
-    /// The priority tier of `thread`: 1 when BLISS-blacklisted or outside
-    /// its real-time budget, else 0. BLISS and regulation are mutually
-    /// exclusive (`McConfig::validate`), so at most one source demotes.
-    fn tier(&self, thread: ThreadId) -> u8 {
-        u8::from(
-            self.blacklist.is_some_and(|bl| bl[thread.as_usize()])
-                || self.reg.is_some_and(|r| !r.in_budget(thread.as_u32())),
-        )
-    }
-}
-
-/// The linear-scan bank scheduler (the retained reference path,
-/// `ScanKind::Linear`; free function so the borrow of the queue is
-/// disjoint from the device and VTMS borrows). The caller has already
-/// probed bank-level readiness (`ready`) and FQ lock engagement (`lock`,
-/// `Some(active_for)` when the inversion bound has tripped); the queue is
-/// non-empty.
+/// Structure: first a *bind pre-pass* performs exactly the lazy VFT
+/// bindings the ranking does — visiting still-unkeyed entries in
+/// admission order and binding those that are ranking candidates (every
+/// entry under the FQ lock; the class-ready ones otherwise). Then the
+/// winner is read from the index:
+///
+/// * **locked** (FQ, Section 3.3): the earliest `(key, id)` entry across
+///   both tiers, ready or not — the bank waits for it rather than letting
+///   other work chain;
+/// * **FCFS ablation**: only the oldest entry competes;
+/// * **first-ready**: tier by tier, the open-row group's heap minimum for
+///   CAS hits (gated per kind), then the tournament minimum excluding
+///   that group for the precharge candidate, or the tournament minimum
+///   for an activate on a closed bank.
+///
+/// Every proposal carries the winner's own tier to the channel
+/// scheduler: a locked best-effort pick must not outrank a ready
+/// in-budget real-time command from another bank, or the WCET
+/// channel-interference term would be unsound.
 #[allow(clippy::too_many_arguments)]
-fn propose_linear<O: Observer>(
+fn propose<O: Observer>(
     queue: &mut BankQueue,
     ready: ReadyClasses,
     lock: Option<u64>,
-    ctx: SchedCtx<'_>,
+    est: Option<&SlowdownEstimator>,
     vtms: &[Vtms],
     kind: SchedulerKind,
     bank_idx: usize,
@@ -2088,167 +2122,10 @@ fn propose_linear<O: Observer>(
 ) -> Option<Proposal> {
     debug_assert!(!queue.is_empty());
 
-    // FQ bank scheduling (Section 3.3): after the bank has been active for
-    // `x` cycles, lock onto the earliest-virtual-finish-time request and
-    // wait for its command to become ready — row hits may no longer chain
-    // ahead of it.
     if kind.uses_fq_bank_scheduler() {
         if O::ENABLED && lock.is_none() {
             // The activation ended (or the bound is unreachable): re-arm
             // the inversion-trip edge detector for the next activation.
-            *lock_armed = false;
-        }
-        if let Some(active_for) = lock {
-            if O::ENABLED && !*lock_armed {
-                *lock_armed = true;
-                obs.on_event(&Event::InversionLock {
-                    cycle: now.as_u64(),
-                    bank: bank_idx as u32,
-                    active_for,
-                });
-            }
-            let mut best: Option<(u32, f64, RequestId)> = None;
-            for i in 0..queue.order_len() {
-                let Some(slot) = queue.order_slot(i) else {
-                    continue;
-                };
-                let key = bind_vft(
-                    queue.get_mut(slot),
-                    ctx.est,
-                    vtms,
-                    bank_idx,
-                    open_row,
-                    timing,
-                    now,
-                    obs,
-                );
-                let id = queue.get(slot).req.id;
-                match best {
-                    Some((_, bk, bid)) if (bk, bid) <= (key, id) => {}
-                    _ => best = Some((slot, key, id)),
-                }
-            }
-            let (slot, key, id) = best.expect("non-empty queue");
-            let winner = queue.get(slot).req.thread;
-            let cmd = next_command(&queue.get(slot).req, open_row, rank, bank);
-            if ready.allows(&cmd) {
-                // The locked pick keeps its thread's tier at the channel
-                // scheduler: a no-op for plain FQ-VFTF (no tier source is
-                // active there), but essential under regulation — a locked
-                // best-effort pick must not outrank a ready in-budget
-                // real-time command from another bank, or the WCET
-                // channel-interference term would be unsound.
-                return Some(Proposal {
-                    cmd,
-                    prio: Priority {
-                        ready: true,
-                        tier: ctx.tier(winner),
-                        cas: cmd.is_cas(),
-                        key,
-                        id,
-                    },
-                    source: Some((bank_idx, slot as usize)),
-                });
-            }
-            return None; // wait: do not let lower-priority work chain
-        }
-    }
-
-    // First-ready scheduling: consider every pending request (FCFS
-    // ablation: only the oldest). Rank candidates by *bank-level*
-    // readiness — the bank scheduler only tracks its own bank's timing.
-    // The selected command is presented to the channel scheduler even if
-    // the channel will reject it this cycle: lower-priority pending work
-    // cannot bypass it (the first-ready chaining behaviour of Section
-    // 3.3).
-    //
-    // Bank-level readiness depends only on the command *class* at this
-    // bank (CAS read, CAS write, precharge, activate) — never on the row
-    // or column — so one probe per class replaces a probe per pending
-    // request and the scan reduces to a row-compare plus a key compare
-    // per request: the channel arbitration step is O(banks), not
-    // O(requests).
-    let mut best: Option<(Priority, u32)> = None;
-    let mut seen = 0usize;
-    for i in 0..queue.order_len() {
-        let Some(slot) = queue.order_slot(i) else {
-            continue;
-        };
-        seen += 1;
-        if seen > 1 && !kind.uses_first_ready() {
-            break; // FCFS ablation: only the oldest request competes
-        }
-        let p = *queue.get(slot);
-        let (class_ready, cas) = classify(&p, open_row, ready);
-        if !class_ready {
-            continue;
-        }
-        let key = if kind.uses_vftf() {
-            bind_vft(
-                queue.get_mut(slot),
-                ctx.est,
-                vtms,
-                bank_idx,
-                open_row,
-                timing,
-                now,
-                obs,
-            )
-        } else {
-            p.req.arrival.as_f64()
-        };
-        let prio = Priority {
-            ready: true,
-            tier: ctx.tier(p.req.thread),
-            cas,
-            key,
-            id: p.req.id,
-        };
-        if best.as_ref().is_none_or(|(b, _)| prio < *b) {
-            best = Some((prio, slot));
-        }
-    }
-    best.map(|(prio, slot)| Proposal {
-        cmd: next_command(&queue.get(slot).req, open_row, rank, bank),
-        prio,
-        source: Some((bank_idx, slot as usize)),
-    })
-}
-
-/// The index-backed bank scheduler (`ScanKind::Indexed`): identical
-/// selection to [`propose_linear`] (see the exactness argument in
-/// [`crate::select`]) in O(log n).
-///
-/// Structure: first a *bind pre-pass* replays exactly the lazy VFT
-/// bindings the linear scan would have performed this evaluation —
-/// visiting still-unkeyed entries in admission order and binding those
-/// that are ranking candidates (every entry under the FQ lock; the
-/// class-ready ones otherwise) — so the `VftBound` event stream is
-/// bit-identical. Then the winner is read from the index: the open-row
-/// group's heap minimum for CAS hits (gated per kind), the tournament
-/// minimum excluding that group for the precharge candidate, or the
-/// global tournament minimum for a closed bank / the locked pick.
-#[allow(clippy::too_many_arguments)]
-fn propose_indexed<O: Observer>(
-    queue: &mut BankQueue,
-    ready: ReadyClasses,
-    lock: Option<u64>,
-    ctx: SchedCtx<'_>,
-    vtms: &[Vtms],
-    kind: SchedulerKind,
-    bank_idx: usize,
-    rank: RankId,
-    bank: BankId,
-    open_row: Option<RowId>,
-    now: DramCycle,
-    timing: &TimingParams,
-    lock_armed: &mut bool,
-    obs: &mut O,
-) -> Option<Proposal> {
-    debug_assert!(!queue.is_empty());
-
-    if kind.uses_fq_bank_scheduler() {
-        if O::ENABLED && lock.is_none() {
             *lock_armed = false;
         }
         if let Some(active_for) = lock {
@@ -2266,29 +2143,10 @@ fn propose_indexed<O: Observer>(
     if kind.uses_vftf() {
         let locked = lock.is_some();
         queue.drain_unbound(|p| {
-            // Under the FQ lock every entry is ranked (and therefore
-            // bound); otherwise only class-ready candidates are — the
-            // same set, in the same admission order, as the linear scan
-            // binds lazily.
             if !locked && !classify(p, open_row, ready).0 {
                 return None;
             }
-            let state = match open_row {
-                Some(r) => fqms_dram::bank::BankState::Open(r),
-                None => fqms_dram::bank::BankState::Closed,
-            };
-            let svc = bank_service(state, p.req.addr.row, timing);
-            let mut v = vtms[p.req.thread.as_usize()].virtual_finish_time(
-                p.req.arrival,
-                bank_idx,
-                svc,
-                timing.burst,
-            );
-            // SD-VFTF: the *scaled* key is what is stored and indexed —
-            // identical to the linear path's `bind_vft`.
-            if let Some(e) = ctx.est {
-                v /= e.slowdown(p.req.thread.as_u32());
-            }
+            let v = vft_for(p, est, vtms, bank_idx, open_row, timing);
             if O::ENABLED {
                 obs.on_event(&Event::VftBound {
                     cycle: now.as_u64(),
@@ -2301,110 +2159,96 @@ fn propose_indexed<O: Observer>(
         });
     }
 
-    if lock.is_some() {
-        // Locked FQ mode: the earliest-(key, id) entry overall, ready or
-        // not — the bank waits for it rather than letting other work
-        // chain. All entries are keyed after the pre-pass.
-        let (sel, slot) = queue.min_all().expect("non-empty, fully keyed queue");
-        let p = queue.get(slot);
-        let cmd = next_command(&p.req, open_row, rank, bank);
-        if ready.allows(&cmd) {
-            return Some(Proposal {
-                cmd,
-                prio: Priority {
-                    ready: true,
-                    tier: 0,
-                    cas: cmd.is_cas(),
-                    key: sel.key,
-                    id: p.req.id,
-                },
-                source: Some((bank_idx, slot as usize)),
-            });
+    let queue = &*queue;
+    let owned = |slot: u32, key: f64| {
+        let req = queue.get(slot).req;
+        let cmd = next_command(&req, open_row, rank, bank);
+        Proposal {
+            cmd,
+            prio: Priority {
+                ready: true,
+                tier: queue.tier(slot),
+                cas: cmd.is_cas(),
+                key,
+                id: req.id,
+            },
+            source: Some((bank_idx, slot as usize)),
         }
-        return None;
+    };
+
+    if lock.is_some() {
+        // Wait for the locked pick when it is not ready: lower-priority
+        // work must not chain ahead of it.
+        let (sel, slot) = queue.min_any_tier().expect("non-empty, fully keyed queue");
+        let pick = owned(slot, sel.key);
+        return ready.allows(&pick.cmd).then_some(pick);
     }
 
     if !kind.uses_first_ready() {
         // FCFS ablation: only the oldest request competes.
         let slot = queue.front_slot().expect("non-empty queue");
         let p = queue.get(slot);
-        let (class_ready, cas) = classify(p, open_row, ready);
-        if !class_ready {
-            return None;
-        }
-        return Some(Proposal {
-            cmd: next_command(&p.req, open_row, rank, bank),
-            prio: Priority {
-                ready: true,
-                tier: 0,
-                cas,
-                key: p.req.arrival.as_f64(),
-                id: p.req.id,
-            },
-            source: Some((bank_idx, slot as usize)),
-        });
+        return classify(p, open_row, ready)
+            .0
+            .then(|| owned(slot, p.req.arrival.as_f64()));
     }
 
-    // First-ready selection from the index. A ready CAS hit beats every
-    // RAS candidate (the `cas` priority level), so the classes resolve in
-    // order without comparing across them.
-    match open_row {
-        Some(row) => {
-            if let Some((sel, slot)) = queue.min_cas(row.as_u32(), ready.read(), ready.write()) {
-                let p = queue.get(slot);
-                let cmd = next_command(&p.req, open_row, rank, bank);
-                debug_assert!(cmd.is_cas());
-                return Some(Proposal {
-                    cmd,
-                    prio: Priority {
-                        ready: true,
-                        tier: 0,
-                        cas: true,
-                        key: sel.key,
-                        id: p.req.id,
-                    },
-                    source: Some((bank_idx, slot as usize)),
-                });
-            }
-            if !ready.precharge() {
-                return None;
-            }
-            let (sel, slot) = queue.min_excluding_row(row.as_u32())?;
-            let p = queue.get(slot);
-            Some(Proposal {
-                cmd: Command::Precharge { rank, bank },
-                prio: Priority {
-                    ready: true,
-                    tier: 0,
-                    cas: false,
-                    key: sel.key,
-                    id: p.req.id,
-                },
-                source: Some((bank_idx, slot as usize)),
-            })
+    // First-ready: a ready CAS hit beats every RAS candidate of its tier,
+    // and any candidate beats every candidate of a higher tier, so the
+    // classes resolve in order without comparing across them.
+    for tier in 0..TIERS as u8 {
+        if queue.tier_is_empty(tier) {
+            continue;
         }
-        None => {
-            if !ready.activate() {
-                return None;
+        let best = match open_row {
+            Some(row) => {
+                let row = row.as_u32();
+                queue
+                    .min_cas(row, ready.read(), ready.write(), tier)
+                    .or_else(|| {
+                        ready
+                            .precharge()
+                            .then(|| queue.min_excluding_row(row, tier))
+                            .flatten()
+                    })
             }
-            let (sel, slot) = queue.min_all()?;
-            let p = queue.get(slot);
-            Some(Proposal {
-                cmd: Command::Activate {
-                    rank,
-                    bank,
-                    row: p.req.addr.row,
-                },
-                prio: Priority {
-                    ready: true,
-                    tier: 0,
-                    cas: false,
-                    key: sel.key,
-                    id: p.req.id,
-                },
-                source: Some((bank_idx, slot as usize)),
-            })
+            None => ready.activate().then(|| queue.min_all(tier)).flatten(),
+        };
+        if let Some((sel, slot)) = best {
+            return Some(owned(slot, sel.key));
         }
+    }
+    None
+}
+
+/// The virtual finish time a pending request binds to now, classifying
+/// its bank service by the bank's current state (Table 3). Under SD-VFTF
+/// (`est` is `Some`) the key is the virtual finish time divided by the
+/// thread's current slowdown estimate — scaled once, at bind time, then
+/// static for the request's lifetime (the estimator only advances on
+/// completions), which keeps the index keys static.
+fn vft_for(
+    p: &Pending,
+    est: Option<&SlowdownEstimator>,
+    vtms: &[Vtms],
+    bank_idx: usize,
+    open_row: Option<RowId>,
+    timing: &TimingParams,
+) -> f64 {
+    let state = match open_row {
+        Some(r) => fqms_dram::bank::BankState::Open(r),
+        None => fqms_dram::bank::BankState::Closed,
+    };
+    let svc = bank_service(state, p.req.addr.row, timing);
+    let v = vtms[p.req.thread.as_usize()].virtual_finish_time(
+        p.req.arrival,
+        bank_idx,
+        svc,
+        timing.burst,
+    );
+    match est {
+        Some(e) => v / e.slowdown(p.req.thread.as_u32()),
+        None => v,
     }
 }
 
@@ -2485,51 +2329,6 @@ impl ReadyClasses {
         }
         ReadyClasses(bits)
     }
-}
-
-/// Binds (or returns the cached) virtual finish time of a pending request,
-/// classifying its bank service by the bank's state right now (Table 3).
-/// Under SD-VFTF (`est` is `Some`) the bound key is the virtual finish
-/// time divided by the thread's current slowdown estimate — scaled once,
-/// at bind time, then static for the request's lifetime.
-#[allow(clippy::too_many_arguments)]
-fn bind_vft<O: Observer>(
-    p: &mut Pending,
-    est: Option<&SlowdownEstimator>,
-    vtms: &[Vtms],
-    bank_idx: usize,
-    open_row: Option<RowId>,
-    timing: &TimingParams,
-    now: DramCycle,
-    obs: &mut O,
-) -> f64 {
-    if let Some(v) = p.vft {
-        return v;
-    }
-    let state = match open_row {
-        Some(r) => fqms_dram::bank::BankState::Open(r),
-        None => fqms_dram::bank::BankState::Closed,
-    };
-    let svc = bank_service(state, p.req.addr.row, timing);
-    let mut v = vtms[p.req.thread.as_usize()].virtual_finish_time(
-        p.req.arrival,
-        bank_idx,
-        svc,
-        timing.burst,
-    );
-    if let Some(e) = est {
-        v /= e.slowdown(p.req.thread.as_u32());
-    }
-    p.vft = Some(v);
-    if O::ENABLED {
-        obs.on_event(&Event::VftBound {
-            cycle: now.as_u64(),
-            thread: p.req.thread.as_u32(),
-            id: p.req.id.as_u64(),
-            vft: v,
-        });
-    }
-    v
 }
 
 #[cfg(test)]
@@ -3110,5 +2909,351 @@ mod tests {
         run_until_idle(&mut m, 0);
         let per_thread: u64 = m.stats().iter().map(|(_, s)| s.bus_busy_cycles).sum();
         assert_eq!(per_thread, m.dram().bus_busy_cycles());
+    }
+
+    // ---- production selection vs the linear reference ranking ---------
+
+    use crate::select::TIERS;
+    use fqms_obs::Event;
+    use fqms_sim::rng::{CaseRunner, SimRng};
+
+    /// The linear reference ranking — the bank scheduler's specification:
+    /// every queued entry is ranked in admission order by [`Priority`]
+    /// under the thread tiers `tier`, without touching the queue. Under
+    /// the FQ lock the earliest `(key, id)` entry wins regardless of tier
+    /// or readiness (and proposes only if ready). Returns the winning
+    /// proposal and the `(id, vft)` bindings the evaluation performs, in
+    /// order.
+    #[allow(clippy::too_many_arguments)]
+    fn rank_linear(
+        queue: &BankQueue,
+        ready: ReadyClasses,
+        locked: bool,
+        tier: &[u8],
+        est: Option<&SlowdownEstimator>,
+        vtms: &[Vtms],
+        kind: SchedulerKind,
+        open_row: Option<RowId>,
+        timing: &TimingParams,
+    ) -> (Option<Proposal>, Vec<(u64, f64)>) {
+        let (rank, bank) = (RankId::new(0), BankId::new(0));
+        let mut bound = Vec::new();
+        let mut key_of = |p: &Pending| match p.vft {
+            Some(v) => v,
+            None => {
+                let v = vft_for(p, est, vtms, 0, open_row, timing);
+                bound.push((p.req.id.as_u64(), v));
+                v
+            }
+        };
+        let proposal = |slot: u32, p: &Pending, cas: bool, key: f64| Proposal {
+            cmd: next_command(&p.req, open_row, rank, bank),
+            prio: Priority {
+                ready: true,
+                tier: tier[p.req.thread.as_usize()],
+                cas,
+                key,
+                id: p.req.id,
+            },
+            source: Some((0, slot as usize)),
+        };
+        if kind.uses_fq_bank_scheduler() && locked {
+            let mut best: Option<(u32, f64, RequestId)> = None;
+            for (slot, p) in queue.iter() {
+                let key = key_of(p);
+                match best {
+                    Some((_, bk, bid)) if (bk, bid) <= (key, p.req.id) => {}
+                    _ => best = Some((slot, key, p.req.id)),
+                }
+            }
+            let (slot, key, _) = best.expect("non-empty queue");
+            let p = queue.get(slot);
+            let cmd = next_command(&p.req, open_row, rank, bank);
+            let pick = ready
+                .allows(&cmd)
+                .then(|| proposal(slot, p, cmd.is_cas(), key));
+            return (pick, bound);
+        }
+        let mut best: Option<Proposal> = None;
+        for (seen, (slot, p)) in queue.iter().enumerate() {
+            if seen > 0 && !kind.uses_first_ready() {
+                break; // FCFS ablation: only the oldest request competes
+            }
+            let (class_ready, cas) = classify(p, open_row, ready);
+            if !class_ready {
+                continue;
+            }
+            let key = if kind.uses_vftf() {
+                key_of(p)
+            } else {
+                p.req.arrival.as_f64()
+            };
+            let candidate = proposal(slot, p, cas, key);
+            if best.is_none_or(|b| candidate.prio < b.prio) {
+                best = Some(candidate);
+            }
+        }
+        (best, bound)
+    }
+
+    /// Records every event a scheduling call emits.
+    #[derive(Default)]
+    struct Recorder(Vec<Event>);
+
+    impl Observer for Recorder {
+        const ENABLED: bool = true;
+        fn on_event(&mut self, event: &Event) {
+            self.0.push(*event);
+        }
+    }
+
+    /// One step after the queue is filled.
+    #[derive(Debug, Clone, Copy)]
+    enum SelectStep {
+        /// One bank-scheduler evaluation, checked against the oracle.
+        Eval {
+            ready: u8,
+            locked: bool,
+            open_row: Option<u32>,
+        },
+        /// A tier flip of one thread (moves its queued entries).
+        Flip { thread: u32, tier: u8 },
+        /// Removal of the `n`-th live entry (mod live), as a CAS issue or
+        /// a fault drop would.
+        Remove(usize),
+    }
+
+    /// A random bank queue (`(thread, row, write, arrival, prebound)`
+    /// entries), initial thread tiers, VTMS / slowdown history, and a
+    /// step sequence.
+    #[derive(Debug, Clone)]
+    struct SelectCase {
+        threads: u32,
+        tiers: Vec<u8>,
+        entries: Vec<(u32, u32, bool, u64, Option<f64>)>,
+        history: Vec<(u32, u64, u64)>,
+        steps: Vec<SelectStep>,
+    }
+
+    fn gen_select_case(rng: &mut SimRng) -> SelectCase {
+        let threads = 1 + rng.next_below(4) as u32;
+        let tiers = (0..threads)
+            .map(|_| rng.next_below(TIERS as u64) as u8)
+            .collect();
+        let entries = (0..1 + rng.next_below(24))
+            .map(|_| {
+                (
+                    rng.next_below(u64::from(threads)) as u32,
+                    rng.next_below(4) as u32,
+                    rng.chance(0.3),
+                    rng.next_below(64),
+                    // Duplicate-heavy pre-bound keys exercise id tiebreaks.
+                    rng.chance(0.25).then(|| rng.next_below(6) as f64 * 40.0),
+                )
+            })
+            .collect();
+        let history = (0..rng.next_below(6))
+            .map(|_| {
+                (
+                    rng.next_below(u64::from(threads)) as u32,
+                    1 + rng.next_below(40),
+                    1 + rng.next_below(400),
+                )
+            })
+            .collect();
+        let steps = (0..1 + rng.next_below(8))
+            .map(|_| match rng.next_below(6) {
+                0..=2 => {
+                    let open_row = rng.chance(0.6).then(|| rng.next_below(5) as u32);
+                    let ready = if open_row.is_some() {
+                        rng.next_below(8) as u8 // READ | WRITE | PRECHARGE
+                    } else if rng.chance(0.8) {
+                        ReadyClasses::ACTIVATE
+                    } else {
+                        0
+                    };
+                    SelectStep::Eval {
+                        ready,
+                        locked: rng.chance(0.4),
+                        open_row,
+                    }
+                }
+                3 | 4 => SelectStep::Flip {
+                    thread: rng.next_below(u64::from(threads)) as u32,
+                    tier: rng.next_below(TIERS as u64) as u8,
+                },
+                _ => SelectStep::Remove(rng.next_below(32) as usize),
+            })
+            .collect();
+        SelectCase {
+            threads,
+            tiers,
+            entries,
+            history,
+            steps,
+        }
+    }
+
+    fn shrink_select_case(c: &SelectCase) -> Vec<SelectCase> {
+        let mut out = Vec::new();
+        for i in (0..c.steps.len()).rev() {
+            let mut s = c.clone();
+            s.steps.remove(i);
+            out.push(s);
+        }
+        for i in (0..c.entries.len()).rev() {
+            let mut s = c.clone();
+            s.entries.remove(i);
+            if !s.entries.is_empty() {
+                out.push(s);
+            }
+        }
+        if !c.history.is_empty() {
+            let mut s = c.clone();
+            s.history.clear();
+            out.push(s);
+        }
+        out
+    }
+
+    /// Replays one case under `kind`: every evaluation of the production
+    /// [`propose`] must return the oracle's proposal (command, full
+    /// priority including the tier, source slot), emit exactly the
+    /// oracle's `VftBound` events in order, and store the bound keys.
+    fn check_select_case(c: &SelectCase, kind: SchedulerKind) -> Result<(), String> {
+        let timing = TimingParams::ddr2_800();
+        let n = c.threads as usize;
+        let mut vtms: Vec<Vtms> = (0..n)
+            .map(|_| Vtms::new(1.0 / n as f64, 1).expect("valid share"))
+            .collect();
+        let mut est = SlowdownEstimator::new(n);
+        for &(t, arrival, svc) in &c.history {
+            vtms[t as usize].update_bank(DramCycle::new(arrival), 0, svc);
+            vtms[t as usize].update_channel(0, timing.burst);
+            est.record(t, svc, svc + arrival);
+        }
+        let est = (kind == SchedulerKind::SdVftf).then_some(&est);
+        let mut queues = vec![BankQueue::new(kind.uses_vftf())];
+        let mut tiers = ThreadTiers::new(c.tiers.clone());
+        for (id, &(thread, row, write, arrival, vft)) in c.entries.iter().enumerate() {
+            let slot = queues[0].push(
+                Pending {
+                    req: MemoryRequest {
+                        id: RequestId::new(id as u64),
+                        thread: ThreadId::new(thread),
+                        kind: if write {
+                            RequestKind::Write
+                        } else {
+                            RequestKind::Read
+                        },
+                        addr: DramAddress {
+                            rank: RankId::new(0),
+                            bank: BankId::new(0),
+                            row: RowId::new(row),
+                            col: ColId::new(0),
+                        },
+                        arrival: DramCycle::new(arrival),
+                    },
+                    vft: vft.filter(|_| kind.uses_vftf()),
+                    ras_issued: 0,
+                },
+                tiers.tier(thread as usize),
+            );
+            tiers.note_push(thread as usize, 0, slot, id as u64, &queues);
+        }
+        let mut tier = c.tiers.clone();
+        for (step, &s) in c.steps.iter().enumerate() {
+            match s {
+                SelectStep::Flip { thread, tier: to } => {
+                    tiers.set(thread as usize, to, &mut queues, |_| {});
+                    tier[thread as usize] = to;
+                }
+                SelectStep::Remove(k) => {
+                    let q = &mut queues[0];
+                    if q.len() > 1 {
+                        let slot = q.nth_slot(k % q.len()).expect("bounded by len");
+                        q.remove(slot);
+                    }
+                }
+                SelectStep::Eval {
+                    ready,
+                    locked,
+                    open_row,
+                } => {
+                    let ready = ReadyClasses(ready);
+                    let open_row = open_row.map(RowId::new);
+                    // `schedule_normal` engages the lock only under FQ.
+                    let locked = locked && kind.uses_fq_bank_scheduler();
+                    let (want, binds) = rank_linear(
+                        &queues[0], ready, locked, &tier, est, &vtms, kind, open_row, &timing,
+                    );
+                    let mut rec = Recorder::default();
+                    let got = propose(
+                        &mut queues[0],
+                        ready,
+                        locked.then_some(timing.t_ras),
+                        est,
+                        &vtms,
+                        kind,
+                        0,
+                        RankId::new(0),
+                        BankId::new(0),
+                        open_row,
+                        DramCycle::new(1_000),
+                        &timing,
+                        &mut false,
+                        &mut rec,
+                    );
+                    let view = |p: Option<Proposal>| p.map(|p| (p.cmd, p.prio, p.source));
+                    if view(got) != view(want) {
+                        return Err(format!(
+                            "{kind} step {step}: proposal {:?} != oracle {:?}",
+                            view(got),
+                            view(want)
+                        ));
+                    }
+                    let emitted: Vec<(u64, u64)> = rec
+                        .0
+                        .iter()
+                        .filter_map(|e| match *e {
+                            Event::VftBound { id, vft, .. } => Some((id, vft.to_bits())),
+                            _ => None,
+                        })
+                        .collect();
+                    let expected: Vec<(u64, u64)> =
+                        binds.iter().map(|&(id, v)| (id, v.to_bits())).collect();
+                    if emitted != expected {
+                        return Err(format!(
+                            "{kind} step {step}: VftBound order {emitted:?} != oracle {expected:?}"
+                        ));
+                    }
+                    for &(id, v) in &binds {
+                        let stored = queues[0]
+                            .iter()
+                            .find(|(_, p)| p.req.id.as_u64() == id)
+                            .and_then(|(_, p)| p.vft);
+                        if stored.map(f64::to_bits) != Some(v.to_bits()) {
+                            return Err(format!(
+                                "{kind} step {step}: id {id} stored {stored:?}, bound {v}"
+                            ));
+                        }
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn indexed_propose_matches_linear_ranking_across_tiers() {
+        CaseRunner::new("propose-vs-linear-ranking").cases(256).run(
+            gen_select_case,
+            shrink_select_case,
+            |c| {
+                SchedulerKind::all()
+                    .into_iter()
+                    .try_for_each(|kind| check_select_case(c, kind))
+            },
+        );
     }
 }

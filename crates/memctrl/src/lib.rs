@@ -70,20 +70,18 @@ pub mod prelude {
     pub use crate::cmdlog::{CommandLog, CommandRecord};
     pub use crate::config::{
         ClassSpec, McConfig, OverloadConfig, RegulationConfig, ShareTree, ShedConfig, TenantSpec,
-        ThrottleConfig, UnsupportedScanError,
+        ThrottleConfig,
     };
     pub use crate::controller::{Completion, MemoryController};
     pub use crate::engine::{
         adversarial_workload, interference_workload, realtime_workload, resume_parallel,
-        resume_serial, simulate_parallel, simulate_parallel_checkpointed,
-        simulate_parallel_lockstep, simulate_serial, simulate_serial_checkpointed,
-        synthetic_workload, EngineReport, EngineSpec, RetryPolicy, SubmitEvent,
+        resume_serial, simulate_parallel, simulate_parallel_checkpointed, simulate_serial,
+        simulate_serial_checkpointed, synthetic_workload, EngineReport, EngineSpec, RetryPolicy,
+        SubmitEvent,
     };
     pub use crate::multichannel::MultiChannelController;
     pub use crate::overload::{OverloadState, SaturationLevel};
-    pub use crate::policy::{
-        InversionBound, Priority, RowPolicy, ScanKind, SchedulerKind, VftBinding,
-    };
+    pub use crate::policy::{InversionBound, Priority, RowPolicy, SchedulerKind, VftBinding};
     pub use crate::port::MemoryPort;
     pub use crate::regulate::RegulatorState;
     pub use crate::request::{MemoryRequest, RequestId, RequestKind, ThreadId};

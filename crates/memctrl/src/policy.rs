@@ -69,18 +69,6 @@ impl SchedulerKind {
         matches!(self, SchedulerKind::FqVftf)
     }
 
-    /// True if the scheduler's priority keys are compatible with the
-    /// O(log n) indexed scan ([`ScanKind::Indexed`]).
-    ///
-    /// BLISS is the exception: its blacklist flips change request
-    /// *ordering* (the tier) dynamically between scheduling decisions,
-    /// which the static-key row-group heaps cannot represent, so it is
-    /// restricted to [`ScanKind::Linear`] (enforced by
-    /// `McConfig::validate`).
-    pub fn supports_indexed_scan(self) -> bool {
-        !matches!(self, SchedulerKind::Bliss)
-    }
-
     /// Short display name matching the paper's figure legends.
     pub fn name(self) -> &'static str {
         match self {
@@ -222,30 +210,10 @@ pub enum VftBinding {
     AtArrival,
 }
 
-/// Bank-scheduler candidate selection implementation (ISSUE 6).
-///
-/// Both paths are semantically identical — the differential suite
-/// (`select_differential.rs`) proves bit-identity of event streams,
-/// completions, and metrics — but scale differently: the linear scan is
-/// O(queue) per scheduling decision, the indexed path O(log queue) via
-/// per-row heaps and a tournament tree (see [`crate::select`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ScanKind {
-    /// The reference implementation: rescan the bank queue in admission
-    /// order on every evaluation. Retained as the oracle for the
-    /// differential suite and the scaling figure's degrading baseline.
-    Linear,
-    /// Index-keyed selection: row-group heaps plus a tournament tree,
-    /// O(log n) select/update (the default).
-    #[default]
-    Indexed,
-}
-
 /// The priority of a candidate command, ordered per the paper: ready beats
-/// not-ready, then lower tier beats higher (tier is 0 for everything except
-/// BLISS-blacklisted threads), CAS beats RAS, then the smaller key (arrival
-/// time or virtual finish time) wins, with the admission id as a
-/// deterministic final tiebreaker.
+/// not-ready, then lower tier beats higher (see [`Priority::tier`]), CAS
+/// beats RAS, then the smaller key (arrival time or virtual finish time)
+/// wins, with the admission id as a deterministic final tiebreaker.
 ///
 /// `Priority` is ordered so that **smaller is better** (fits
 /// `Iterator::min`).
@@ -253,8 +221,10 @@ pub enum ScanKind {
 pub struct Priority {
     /// Whether the command can issue this cycle.
     pub ready: bool,
-    /// Scheduler-assigned priority class; 0 is best. Only BLISS uses a
-    /// nonzero tier (1 for blacklisted threads).
+    /// Scheduler-assigned priority class; 0 is best. Two sources demote
+    /// a thread to tier 1: BLISS blacklisting, and real-time regulation
+    /// (best-effort threads and real-time threads whose budget is spent
+    /// for the current period). Without either, every tier is 0.
     pub tier: u8,
     /// Whether the command is a CAS (read/write).
     pub cas: bool,
@@ -363,10 +333,6 @@ mod tests {
         assert!(!SchedulerKind::Bliss.uses_vftf());
         assert!(SchedulerKind::Bliss.uses_first_ready());
         assert!(!SchedulerKind::SdVftf.uses_fq_bank_scheduler());
-        assert!(!SchedulerKind::Bliss.supports_indexed_scan());
-        for kind in SchedulerKind::all() {
-            assert_eq!(kind.supports_indexed_scan(), kind != SchedulerKind::Bliss);
-        }
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! O(log n) bank-scheduler selection structures (ISSUE 6 tentpole).
 //!
-//! The reference bank scheduler re-ranks its whole queue with a linear
-//! scan on every evaluation: O(n) per decision, the scaling wall for
-//! thousand-tenant share trees. This module replaces the scan with an
-//! index-keyed structure while preserving the scan's selection *exactly*
-//! (same winner, same tie-breaks, same `VftBound` event order):
+//! A bank scheduler that re-ranks its whole queue on every evaluation
+//! pays O(n) per decision, the scaling wall for thousand-tenant share
+//! trees. This module keeps the queue in an index-keyed structure that
+//! selects exactly what that ranking would (same winner, same
+//! tie-breaks, same `VftBound` event order):
 //!
 //! * [`IndexedHeap`] — a binary min-heap over `(key, id)` pairs with an
 //!   external slot→position index, giving O(log n) insert/remove/re-key
@@ -14,23 +14,35 @@
 //!   excluding one group (the open row's hit group);
 //! * `BankQueue` (crate-private) — the per-bank pending queue: a
 //!   stable-slot slab plus a tombstoned admission-order list, with one
-//!   `(read, write)` heap pair per distinct row and a tournament over
-//!   the groups.
+//!   `(read, write)` heap pair per distinct row *and priority tier*, and
+//!   one tournament over the groups per tier;
+//! * `ThreadTiers` (crate-private) — each thread's current tier and its
+//!   queued entries, so a tier flip moves only that thread's entries.
 //!
 //! # Why this decomposition is exact
 //!
-//! The linear scan's priority order ([`crate::policy::Priority`]) ranks
-//! candidates by `(ready, cas, key, id)`. Within one bank evaluation all
-//! surviving candidates are ready, so the scan reduces to: any ready CAS
+//! The priority order ([`crate::policy::Priority`]) ranks candidates by
+//! `(ready, tier, cas, key, id)`. Within one bank evaluation all
+//! surviving candidates are ready, so the ranking reduces to: the lowest
+//! tier holding any ready candidate wins; within it any ready CAS
 //! (open-row hit) beats any ready RAS, then the smallest `(key, id)`
-//! wins. Hits to the open row `r` are exactly the members of row group
-//! `r`, so the best hit is the group-`r` heap minimum (per CAS kind,
-//! gated on that kind's bank readiness); the best precharge candidate is
-//! the minimum over every *other* group (`min_excluding`); the best
-//! activate candidate on a closed bank is the global minimum. `(key, id)`
-//! pairs are unique (admission ids are strictly monotonic), so the winner
-//! is independent of heap layout — a rebuilt-on-restore heap with
-//! renumbered slots selects identically.
+//! wins. Hits to the open row `r` in tier `t` are exactly the members of
+//! row group `r`'s tier-`t` heaps, so the best hit is that heap pair's
+//! minimum (per CAS kind, gated on that kind's bank readiness); the best
+//! precharge candidate of tier `t` is the tier-`t` tournament minimum
+//! over every *other* group (`min_excluding`); the best activate
+//! candidate on a closed bank is the tier-`t` global minimum. Resolving
+//! tier 0's CAS then RAS class before tier 1's is the lexicographic
+//! order itself. `(key, id)` pairs are unique (admission ids are strictly
+//! monotonic), so the winner is independent of heap layout — a
+//! rebuilt-on-restore heap with renumbered slots selects identically.
+//!
+//! The index stays exact only while every entry sits in its thread's
+//! *current* tier. Tiers change at exactly four points — a BLISS
+//! blacklisting or clearing, a regulator bucket exhausting or
+//! replenishing — and the controller calls `ThreadTiers::set` at each
+//! of them, which moves the flipped thread's queued entries between the
+//! tier structures before the next scheduling pass.
 
 use crate::request::MemoryRequest;
 use std::cmp::Ordering;
@@ -230,9 +242,9 @@ fn tree_min(a: Option<TreeVal>, b: Option<TreeVal>) -> Option<TreeVal> {
 /// * [`TournamentTree::set`] — replay one leaf's matches up the tree,
 ///   O(log g).
 ///
-/// Leaves are allocated once and never freed (a row group that goes
-/// empty keeps its leaf with value `None`); capacity doubles with a
-/// rebuild, amortized O(1) per allocation.
+/// Leaves are allocated once and never freed (an emptied row group's
+/// leaf reads `None` until the queue recycles it for a new row);
+/// capacity doubles with a rebuild, amortized O(1) per allocation.
 #[derive(Debug, Clone)]
 pub struct TournamentTree {
     /// 1-based complete tree: `nodes[1]` is the root, leaf `l` lives at
@@ -328,7 +340,20 @@ impl Group {
     fn best(&self) -> Option<TreeVal> {
         tree_min(self.read.peek(), self.write.peek())
     }
+
+    /// The heap an entry of `p`'s kind belongs to.
+    fn heap_mut(&mut self, p: &Pending) -> &mut IndexedHeap {
+        if p.req.kind.is_read() {
+            &mut self.read
+        } else {
+            &mut self.write
+        }
+    }
 }
+
+/// Number of priority tiers the index keeps (see
+/// [`crate::policy::Priority::tier`]): 0 is premium, 1 demoted.
+pub(crate) const TIERS: usize = 2;
 
 /// The per-bank pending-request queue.
 ///
@@ -342,52 +367,58 @@ impl Group {
 /// strictly monotonic). Dead pairs are compacted when they outnumber
 /// live ones, keeping iteration amortized O(live).
 ///
-/// With `indexed` set, the queue additionally maintains the row-group
-/// heaps and the tournament over groups for every *keyed* entry (one
-/// whose selection key is known: arrival-keyed schedulers key at push;
-/// VFTF schedulers key at VFT binding). Unkeyed entries wait in the
-/// `unbound` list (same tombstone scheme) until the scheduler's bind
-/// pre-pass keys them in admission order. With `indexed` unset (the
-/// retained linear reference path) all index upkeep is skipped and the
-/// queue is just the slab + order list.
+/// Every *keyed* entry (one whose selection key is known: arrival-keyed
+/// schedulers key at push; VFTF schedulers key at VFT binding) sits in
+/// its row group's heap for its tier, and each tier has a tournament
+/// over the groups. Unkeyed entries wait in the `unbound` list (same
+/// tombstone scheme) until the scheduler's bind pre-pass keys them in
+/// admission order.
 #[derive(Debug, Clone)]
 pub(crate) struct BankQueue {
-    indexed: bool,
     /// Keys are virtual finish times (VFTF schedulers) rather than
     /// arrival times; entries are keyed lazily at VFT binding.
     vftf: bool,
     slots: Vec<Option<Pending>>,
+    /// Priority tier of each slot's entry (derived state: never
+    /// serialized, rebuilt on restore).
+    tiers: Vec<u8>,
     free: Vec<u32>,
     live: usize,
     /// Admission-order `(slot, id)` pairs with lazy tombstones.
     order: Vec<(u32, u64)>,
     order_dead: usize,
     /// Admission-order `(slot, id)` pairs of entries awaiting a key
-    /// (maintained only when `indexed && vftf`).
+    /// (VFTF schedulers only).
     unbound: Vec<(u32, u64)>,
-    /// Row -> group id; groups are never freed (an emptied group keeps
-    /// its tournament leaf as `None`), so ids are stable.
+    /// Row -> group id, for rows with a keyed entry. An emptied group is
+    /// released and its id (with its tournament leaves, all `None`)
+    /// recycled through `free_groups`, so the group count tracks the
+    /// distinct rows queued, not every row ever seen.
     group_of_row: HashMap<u32, u32>,
-    groups: Vec<Group>,
-    tree: TournamentTree,
+    free_groups: Vec<u32>,
+    /// Per group, one heap pair per tier.
+    groups: Vec<[Group; TIERS]>,
+    /// Per tier, a tournament over the groups (leaf `g` is group `g`).
+    trees: [TournamentTree; TIERS],
     /// Shared slot→heap-position index (each slot is in ≤ 1 heap).
     heap_pos: Vec<u32>,
 }
 
 impl BankQueue {
-    pub(crate) fn new(indexed: bool, vftf: bool) -> Self {
+    pub(crate) fn new(vftf: bool) -> Self {
         BankQueue {
-            indexed,
             vftf,
             slots: Vec::new(),
+            tiers: Vec::new(),
             free: Vec::new(),
             live: 0,
             order: Vec::new(),
             order_dead: 0,
             unbound: Vec::new(),
             group_of_row: HashMap::new(),
+            free_groups: Vec::new(),
             groups: Vec::new(),
-            tree: TournamentTree::new(),
+            trees: Default::default(),
             heap_pos: Vec::new(),
         }
     }
@@ -410,23 +441,23 @@ impl BankQueue {
         }
     }
 
-    /// Admits an entry (at the back of the admission order) and returns
-    /// its slot.
-    pub(crate) fn push(&mut self, p: Pending) -> u32 {
+    /// Admits an entry at `tier` (at the back of the admission order)
+    /// and returns its slot.
+    pub(crate) fn push(&mut self, p: Pending, tier: u8) -> u32 {
         let slot = self.free.pop().unwrap_or_else(|| {
             self.slots.push(None);
+            self.tiers.push(0);
             (self.slots.len() - 1) as u32
         });
         debug_assert!(self.slots[slot as usize].is_none());
         let id = p.req.id.as_u64();
         self.slots[slot as usize] = Some(p);
+        self.tiers[slot as usize] = tier;
         self.live += 1;
         self.order.push((slot, id));
-        if self.indexed {
-            match self.key_of(&p) {
-                Some(key) => self.index_insert(slot, key, &p),
-                None => self.unbound.push((slot, id)),
-            }
+        match self.key_of(&p) {
+            Some(key) => self.index_insert(slot, key, &p),
+            None => self.unbound.push((slot, id)),
         }
         slot
     }
@@ -443,17 +474,8 @@ impl BankQueue {
         self.order_dead += 1;
         // Unkeyed entries leave a tombstone in `unbound`, cleaned by the
         // next bind pre-pass (the id check spots slot reuse).
-        if self.indexed && self.key_of(&p).is_some() {
-            let gid = self.group_of_row[&p.req.addr.row.as_u32()];
-            let g = &mut self.groups[gid as usize];
-            let heap = if p.req.kind.is_read() {
-                &mut g.read
-            } else {
-                &mut g.write
-            };
-            heap.remove(&mut self.heap_pos, slot);
-            let val = self.groups[gid as usize].best();
-            self.tree.set(gid, val);
+        if self.key_of(&p).is_some() {
+            self.index_remove(slot, &p);
         }
         if self.order_dead > self.order.len() / 2 && self.order.len() > 32 {
             let slots = &self.slots;
@@ -465,14 +487,42 @@ impl BankQueue {
         p
     }
 
+    /// Replays group `gid`'s tier-`tier` matches after a heap change.
+    fn refresh_leaf(&mut self, gid: u32, tier: u8) {
+        let val = self.groups[gid as usize][tier as usize].best();
+        self.trees[tier as usize].set(gid, val);
+    }
+
+    fn index_remove(&mut self, slot: u32, p: &Pending) {
+        let row = p.req.addr.row.as_u32();
+        let gid = self.group_of_row[&row];
+        let tier = self.tiers[slot as usize];
+        self.groups[gid as usize][tier as usize]
+            .heap_mut(p)
+            .remove(&mut self.heap_pos, slot);
+        self.refresh_leaf(gid, tier);
+        // Release an emptied group: every tier's leaf already reads
+        // `None`, so the id can serve the next new row.
+        if self.groups[gid as usize].iter().all(|g| g.best().is_none()) {
+            self.group_of_row.remove(&row);
+            self.free_groups.push(gid);
+        }
+    }
+
     fn index_insert(&mut self, slot: u32, key: f64, p: &Pending) {
         let row = p.req.addr.row.as_u32();
         let gid = match self.group_of_row.get(&row) {
             Some(&g) => g,
             None => {
-                let g = self.tree.push_leaf();
-                debug_assert_eq!(g as usize, self.groups.len());
-                self.groups.push(Group::default());
+                let g = self.free_groups.pop().unwrap_or_else(|| {
+                    let g = self.trees[0].push_leaf();
+                    for tree in &mut self.trees[1..] {
+                        tree.push_leaf();
+                    }
+                    debug_assert_eq!(g as usize, self.groups.len());
+                    self.groups.push(Default::default());
+                    g
+                });
                 self.group_of_row.insert(row, g);
                 g
             }
@@ -481,15 +531,11 @@ impl BankQueue {
             key,
             id: p.req.id.as_u64(),
         };
-        let g = &mut self.groups[gid as usize];
-        let heap = if p.req.kind.is_read() {
-            &mut g.read
-        } else {
-            &mut g.write
-        };
-        heap.insert(&mut self.heap_pos, slot, sel);
-        let val = self.groups[gid as usize].best();
-        self.tree.set(gid, val);
+        let tier = self.tiers[slot as usize];
+        self.groups[gid as usize][tier as usize]
+            .heap_mut(p)
+            .insert(&mut self.heap_pos, slot, sel);
+        self.refresh_leaf(gid, tier);
     }
 
     /// Shared access to the entry at `slot`.
@@ -502,11 +548,40 @@ impl BankQueue {
     }
 
     /// Mutable access to the entry at `slot`. Callers must not mutate
-    /// fields the index keys on (`vft` on an indexed queue — bind via
-    /// [`BankQueue::bind`] / [`BankQueue::drain_unbound`] instead);
-    /// `ras_issued` is never a key and is safe to bump.
+    /// fields the index keys on (`vft` — bind via
+    /// [`BankQueue::drain_unbound`] instead); `ras_issued` is never a
+    /// key and is safe to bump.
     pub(crate) fn get_mut(&mut self, slot: u32) -> &mut Pending {
         self.slots[slot as usize].as_mut().expect("live slot")
+    }
+
+    /// Whether `slot` still holds the request with admission id `id`.
+    pub(crate) fn holds(&self, slot: u32, id: u64) -> bool {
+        matches!(
+            self.slots.get(slot as usize),
+            Some(Some(p)) if p.req.id.as_u64() == id
+        )
+    }
+
+    /// The priority tier of the entry at `slot`.
+    pub(crate) fn tier(&self, slot: u32) -> u8 {
+        self.tiers[slot as usize]
+    }
+
+    /// Moves the entry at `slot` to `tier` (O(log n) when keyed).
+    pub(crate) fn set_tier(&mut self, slot: u32, tier: u8) {
+        if self.tiers[slot as usize] == tier {
+            return;
+        }
+        let p = *self.get(slot);
+        match self.key_of(&p) {
+            Some(key) => {
+                self.index_remove(slot, &p);
+                self.tiers[slot as usize] = tier;
+                self.index_insert(slot, key, &p);
+            }
+            None => self.tiers[slot as usize] = tier,
+        }
     }
 
     /// Runs the bind pre-pass: visits every still-unkeyed entry in
@@ -517,7 +592,7 @@ impl BankQueue {
     where
         F: FnMut(&Pending) -> Option<f64>,
     {
-        debug_assert!(self.indexed && self.vftf);
+        debug_assert!(self.vftf);
         let mut kept = 0;
         for i in 0..self.unbound.len() {
             let (slot, id) = self.unbound[i];
@@ -546,20 +621,11 @@ impl BankQueue {
         self.unbound.truncate(kept);
     }
 
-    /// Number of admission-order cells (including tombstones); use with
-    /// [`BankQueue::order_slot`] to scan in admission order.
-    pub(crate) fn order_len(&self) -> usize {
-        self.order.len()
-    }
-
     /// The live slot at admission-order cell `i`, or `None` for a
     /// tombstone.
     pub(crate) fn order_slot(&self, i: usize) -> Option<u32> {
         let (slot, id) = self.order[i];
-        match &self.slots[slot as usize] {
-            Some(p) if p.req.id.as_u64() == id => Some(slot),
-            _ => None,
-        }
+        self.holds(slot, id).then_some(slot)
     }
 
     /// The oldest live entry's slot (the FCFS candidate).
@@ -582,29 +648,47 @@ impl BankQueue {
             .map(|slot| (slot, self.get(slot)))
     }
 
-    /// The best keyed entry overall (the activate candidate on a closed
-    /// bank; the locked FQ scheduler's pick).
-    pub(crate) fn min_all(&self) -> Option<TreeVal> {
-        debug_assert!(self.indexed);
-        self.tree.min()
+    /// True when `tier` holds no keyed entry (so no candidate).
+    pub(crate) fn tier_is_empty(&self, tier: u8) -> bool {
+        self.trees[tier as usize].min().is_none()
     }
 
-    /// The best keyed entry whose row differs from `row` (the precharge
-    /// candidate when `row` is open).
-    pub(crate) fn min_excluding_row(&self, row: u32) -> Option<TreeVal> {
-        debug_assert!(self.indexed);
+    /// The best keyed entry of any tier (the locked FQ scheduler's pick,
+    /// which ranks by `(key, id)` alone).
+    pub(crate) fn min_any_tier(&self) -> Option<TreeVal> {
+        self.trees
+            .iter()
+            .fold(None, |acc, t| tree_min(acc, t.min()))
+    }
+
+    /// The best keyed entry of `tier` (the activate candidate on a
+    /// closed bank).
+    pub(crate) fn min_all(&self, tier: u8) -> Option<TreeVal> {
+        self.trees[tier as usize].min()
+    }
+
+    /// The best keyed entry of `tier` whose row differs from `row` (the
+    /// precharge candidate when `row` is open).
+    pub(crate) fn min_excluding_row(&self, row: u32, tier: u8) -> Option<TreeVal> {
+        let tree = &self.trees[tier as usize];
         match self.group_of_row.get(&row) {
-            Some(&g) => self.tree.min_excluding(g),
-            None => self.tree.min(),
+            Some(&g) => tree.min_excluding(g),
+            None => tree.min(),
         }
     }
 
-    /// The best keyed open-row hit, honouring per-kind readiness: reads
-    /// compete only if `want_read`, writes only if `want_write`.
-    pub(crate) fn min_cas(&self, row: u32, want_read: bool, want_write: bool) -> Option<TreeVal> {
-        debug_assert!(self.indexed);
+    /// The best keyed open-row hit of `tier`, honouring per-kind
+    /// readiness: reads compete only if `want_read`, writes only if
+    /// `want_write`.
+    pub(crate) fn min_cas(
+        &self,
+        row: u32,
+        want_read: bool,
+        want_write: bool,
+        tier: u8,
+    ) -> Option<TreeVal> {
         let &gid = self.group_of_row.get(&row)?;
-        let g = &self.groups[gid as usize];
+        let g = &self.groups[gid as usize][tier as usize];
         let r = if want_read { g.read.peek() } else { None };
         let w = if want_write { g.write.peek() } else { None };
         tree_min(r, w)
@@ -615,15 +699,112 @@ impl BankQueue {
     /// index state).
     pub(crate) fn clear(&mut self) {
         self.slots.clear();
+        self.tiers.clear();
         self.free.clear();
         self.live = 0;
         self.order.clear();
         self.order_dead = 0;
         self.unbound.clear();
         self.group_of_row.clear();
+        self.free_groups.clear();
         self.groups.clear();
-        self.tree = TournamentTree::new();
+        self.trees = Default::default();
         self.heap_pos.clear();
+    }
+}
+
+/// Each thread's current priority tier plus the `(bank, slot, id)` of
+/// its queued entries, so a tier flip costs O(that thread's entries ×
+/// log n) instead of a sweep over every queue. Kept only while a tier
+/// source (BLISS or regulation) is configured.
+///
+/// The per-thread lists carry lazy tombstones (an entry is live iff its
+/// bank queue still [`holds`](BankQueue::holds) the slot with that id);
+/// a list is compacted whenever it fills its capacity, and grows only
+/// when compaction frees less than half of it, which keeps pushes
+/// amortized O(1) and each list O(the thread's live entries).
+#[derive(Debug, Clone)]
+pub(crate) struct ThreadTiers {
+    tier: Vec<u8>,
+    entries: Vec<Vec<(u32, u32, u64)>>,
+}
+
+impl ThreadTiers {
+    /// `tiers[t]` is thread `t`'s initial tier; no entries.
+    pub(crate) fn new(tiers: Vec<u8>) -> Self {
+        let entries = vec![Vec::new(); tiers.len()];
+        ThreadTiers {
+            tier: tiers,
+            entries,
+        }
+    }
+
+    /// Thread `thread`'s current tier (the tier its new entries join).
+    pub(crate) fn tier(&self, thread: usize) -> u8 {
+        self.tier[thread]
+    }
+
+    /// Records a newly queued entry of `thread`.
+    pub(crate) fn note_push(
+        &mut self,
+        thread: usize,
+        bank: usize,
+        slot: u32,
+        id: u64,
+        queues: &[BankQueue],
+    ) {
+        let list = &mut self.entries[thread];
+        if list.len() == list.capacity() {
+            list.retain(|&(b, s, id)| queues[b as usize].holds(s, id));
+            if list.len() * 2 > list.capacity() {
+                list.reserve(list.len());
+            }
+        }
+        list.push((bank as u32, slot, id));
+    }
+
+    /// Sets `thread`'s tier, moving its queued entries to `tier`; calls
+    /// `touched` with the bank of every entry moved (whose memoized
+    /// proposal the move invalidates).
+    pub(crate) fn set(
+        &mut self,
+        thread: usize,
+        tier: u8,
+        queues: &mut [BankQueue],
+        mut touched: impl FnMut(usize),
+    ) {
+        if self.tier[thread] == tier {
+            return;
+        }
+        self.tier[thread] = tier;
+        self.entries[thread].retain(|&(b, s, id)| {
+            let q = &mut queues[b as usize];
+            let live = q.holds(s, id);
+            if live {
+                q.set_tier(s, tier);
+                touched(b as usize);
+            }
+            live
+        });
+    }
+
+    /// Rebuilds from scratch after a snapshot restore: `tiers[t]` is each
+    /// thread's restored tier; every queued entry is re-tiered.
+    pub(crate) fn rebuild(&mut self, tiers: Vec<u8>, queues: &mut [BankQueue]) {
+        self.tier = tiers;
+        for list in &mut self.entries {
+            list.clear();
+        }
+        for (b, q) in queues.iter_mut().enumerate() {
+            let live: Vec<(u32, usize, u64)> = q
+                .iter()
+                .map(|(s, p)| (s, p.req.thread.as_usize(), p.req.id.as_u64()))
+                .collect();
+            for (s, t, id) in live {
+                q.set_tier(s, self.tier[t]);
+                self.entries[t].push((b as u32, s, id));
+            }
+        }
     }
 }
 
@@ -718,12 +899,17 @@ mod tests {
     use fqms_sim::clock::DramCycle;
     use fqms_sim::rng::{CaseRunner, SimRng};
 
+    /// Threads the randomized queue operations draw from.
+    const THREADS: u32 = 3;
+
     /// One randomized queue operation.
     #[derive(Debug, Clone, Copy)]
     enum Op {
-        /// Admit a request to `row` (read/write), optionally pre-keyed
-        /// (at-arrival binding); `key` carries the VFT when pre-keyed.
+        /// Admit a request of `thread` to `row` (read/write), optionally
+        /// pre-keyed (at-arrival binding); `key` carries the VFT when
+        /// pre-keyed. The entry joins its thread's current tier.
         Push {
+            thread: u32,
             row: u32,
             write: bool,
             arrival: u64,
@@ -733,15 +919,17 @@ mod tests {
         Remove(usize),
         /// Bind the `n`-th unkeyed entry (mod unbound count) to `key`.
         Bind { nth: usize, key: f64 },
+        /// Move `thread` (and every entry it has queued) to `tier`.
+        Retier { thread: u32, tier: u8 },
     }
 
-    /// Oracle entry: `(id, row, write, key)` in admission order.
-    type OracleEntry = (u64, u32, bool, Option<f64>);
+    /// Oracle entry: `(id, thread, row, write, key)` in admission order.
+    type OracleEntry = (u64, u32, u32, bool, Option<f64>);
 
-    fn request(id: u64, row: u32, write: bool, arrival: u64) -> MemoryRequest {
+    fn request(id: u64, thread: u32, row: u32, write: bool, arrival: u64) -> MemoryRequest {
         MemoryRequest {
             id: RequestId::new(id),
-            thread: ThreadId::new(0),
+            thread: ThreadId::new(thread),
             kind: if write {
                 RequestKind::Write
             } else {
@@ -772,17 +960,22 @@ mod tests {
     fn gen_ops(rng: &mut SimRng) -> Vec<Op> {
         let n = 4 + rng.next_below(60);
         (0..n)
-            .map(|_| match rng.next_below(8) {
+            .map(|_| match rng.next_below(10) {
                 0..=3 => Op::Push {
+                    thread: rng.next_below(u64::from(THREADS)) as u32,
                     row: rng.next_below(5) as u32,
                     write: rng.chance(0.4),
                     arrival: rng.next_below(1 << 40),
                     key: rng.chance(0.3).then(|| gen_key(rng)),
                 },
                 4 | 5 => Op::Remove(rng.next_below(16) as usize),
-                _ => Op::Bind {
+                6 | 7 => Op::Bind {
                     nth: rng.next_below(16) as usize,
                     key: gen_key(rng),
+                },
+                _ => Op::Retier {
+                    thread: rng.next_below(u64::from(THREADS)) as u32,
+                    tier: rng.next_below(TIERS as u64) as u8,
                 },
             })
             .collect()
@@ -792,7 +985,7 @@ mod tests {
     where
         I: Iterator<Item = &'a OracleEntry>,
     {
-        live.filter_map(|&(id, _, _, key)| key.map(|v| (v, id)))
+        live.filter_map(|&(id, _, _, _, key)| key.map(|v| (v, id)))
             .min_by(|a, b| SelKey { key: a.0, id: a.1 }.cmp(&SelKey { key: b.0, id: b.1 }))
     }
 
@@ -807,15 +1000,19 @@ mod tests {
         })
     }
 
-    /// Replays `ops` against a vftf-indexed queue and a naive oracle,
-    /// cross-checking every query surface after every operation.
+    /// Replays `ops` against a vftf-indexed queue (tiers maintained
+    /// through [`ThreadTiers`]) and a naive oracle, cross-checking every
+    /// query surface of every tier after every operation.
     fn check_against_oracle(ops: &[Op]) -> Result<(), String> {
-        let mut q = BankQueue::new(true, true);
+        let mut queues = vec![BankQueue::new(true)];
+        let mut tiers = ThreadTiers::new(vec![0; THREADS as usize]);
         let mut oracle: Vec<OracleEntry> = Vec::new();
+        let mut oracle_tier = [0u8; THREADS as usize];
         let mut next_id = 0u64;
         for (step, &op) in ops.iter().enumerate() {
             match op {
                 Op::Push {
+                    thread,
                     row,
                     write,
                     arrival,
@@ -823,18 +1020,24 @@ mod tests {
                 } => {
                     let id = next_id;
                     next_id += 1;
-                    q.push(Pending {
-                        req: request(id, row, write, arrival),
-                        vft: key,
-                        ras_issued: 0,
-                    });
-                    oracle.push((id, row, write, key));
+                    let t = thread as usize;
+                    let slot = queues[0].push(
+                        Pending {
+                            req: request(id, thread, row, write, arrival),
+                            vft: key,
+                            ras_issued: 0,
+                        },
+                        tiers.tier(t),
+                    );
+                    tiers.note_push(t, 0, slot, id, &queues);
+                    oracle.push((id, thread, row, write, key));
                 }
                 Op::Remove(n) => {
                     if oracle.is_empty() {
                         continue;
                     }
                     let n = n % oracle.len();
+                    let q = &mut queues[0];
                     let slot = q.nth_slot(n).ok_or_else(|| {
                         format!(
                             "step {step}: nth_slot({n}) missing with {} live",
@@ -853,18 +1056,23 @@ mod tests {
                 Op::Bind { nth, key } => {
                     let unbound: Vec<u64> = oracle
                         .iter()
-                        .filter(|e| e.3.is_none())
+                        .filter(|e| e.4.is_none())
                         .map(|e| e.0)
                         .collect();
                     if unbound.is_empty() {
                         continue;
                     }
                     let target = unbound[nth % unbound.len()];
-                    q.drain_unbound(|p| (p.req.id.as_u64() == target).then_some(key));
-                    oracle.iter_mut().find(|e| e.0 == target).expect("listed").3 = Some(key);
+                    queues[0].drain_unbound(|p| (p.req.id.as_u64() == target).then_some(key));
+                    oracle.iter_mut().find(|e| e.0 == target).expect("listed").4 = Some(key);
+                }
+                Op::Retier { thread, tier } => {
+                    tiers.set(thread as usize, tier, &mut queues, |_| {});
+                    oracle_tier[thread as usize] = tier;
                 }
             }
             // --- cross-check every query surface ---
+            let q = &queues[0];
             if q.len() != oracle.len() {
                 return Err(format!(
                     "step {step}: len {} != oracle {}",
@@ -879,37 +1087,59 @@ mod tests {
                     "step {step}: admission order {iter_ids:?} != {oracle_ids:?}"
                 ));
             }
+            for (slot, p) in q.iter() {
+                let want = oracle_tier[p.req.thread.as_usize()];
+                if q.tier(slot) != want {
+                    return Err(format!(
+                        "step {step}: id {} in tier {} != thread tier {want}",
+                        p.req.id.as_u64(),
+                        q.tier(slot)
+                    ));
+                }
+            }
             let front = q.front_slot().map(|s| q.get(s).req.id.as_u64());
             if front != oracle.first().map(|e| e.0) {
                 return Err(format!("step {step}: front {front:?}"));
             }
-            if as_pair(q.min_all(), &q) != oracle_min(oracle.iter()) {
+            if as_pair(q.min_any_tier(), q) != oracle_min(oracle.iter()) {
                 return Err(format!(
-                    "step {step}: min_all {:?} != {:?}",
-                    as_pair(q.min_all(), &q),
+                    "step {step}: min_any_tier {:?} != {:?}",
+                    as_pair(q.min_any_tier(), q),
                     oracle_min(oracle.iter())
                 ));
             }
-            for row in 0..5u32 {
-                let got = as_pair(q.min_excluding_row(row), &q);
-                let want = oracle_min(oracle.iter().filter(|e| e.1 != row));
-                if got != want {
+            for tier in 0..TIERS as u8 {
+                let in_tier = |e: &&OracleEntry| oracle_tier[e.1 as usize] == tier;
+                let want = oracle_min(oracle.iter().filter(in_tier));
+                if as_pair(q.min_all(tier), q) != want {
                     return Err(format!(
-                        "step {step}: min_excluding_row({row}) {got:?} != {want:?}"
+                        "step {step}: min_all({tier}) {:?} != {want:?}",
+                        as_pair(q.min_all(tier), q)
                     ));
                 }
-                for (want_read, want_write) in [(true, true), (true, false), (false, true)] {
-                    let got = as_pair(q.min_cas(row, want_read, want_write), &q);
-                    let want = oracle_min(
-                        oracle
-                            .iter()
-                            .filter(|e| e.1 == row && if e.2 { want_write } else { want_read }),
-                    );
+                if q.tier_is_empty(tier) != want.is_none() {
+                    return Err(format!("step {step}: tier_is_empty({tier}) wrong"));
+                }
+                for row in 0..5u32 {
+                    let got = as_pair(q.min_excluding_row(row, tier), q);
+                    let want = oracle_min(oracle.iter().filter(in_tier).filter(|e| e.2 != row));
                     if got != want {
                         return Err(format!(
-                            "step {step}: min_cas({row}, {want_read}, {want_write}) \
-                             {got:?} != {want:?}"
+                            "step {step}: min_excluding_row({row}, {tier}) {got:?} != {want:?}"
                         ));
+                    }
+                    for (want_read, want_write) in [(true, true), (true, false), (false, true)] {
+                        let got = as_pair(q.min_cas(row, want_read, want_write, tier), q);
+                        let want =
+                            oracle_min(oracle.iter().filter(in_tier).filter(|e| {
+                                e.2 == row && if e.3 { want_write } else { want_read }
+                            }));
+                        if got != want {
+                            return Err(format!(
+                                "step {step}: min_cas({row}, {want_read}, {want_write}, \
+                                 {tier}) {got:?} != {want:?}"
+                            ));
+                        }
                     }
                 }
             }
@@ -943,34 +1173,43 @@ mod tests {
     fn arrival_keyed_queue_keys_at_push() {
         // Non-VFTF mode: every entry is keyed by arrival at push; the
         // tournament tracks pushes and removes with no bind step.
-        let mut q = BankQueue::new(true, false);
+        let mut q = BankQueue::new(false);
         for (i, arrival) in [50u64, 10, 30].into_iter().enumerate() {
-            q.push(Pending {
-                req: request(i as u64, 1, false, arrival),
-                vft: None,
-                ras_issued: 0,
-            });
+            q.push(
+                Pending {
+                    req: request(i as u64, 0, 1, false, arrival),
+                    vft: None,
+                    ras_issued: 0,
+                },
+                0,
+            );
         }
-        let (sel, slot) = q.min_all().expect("keyed");
+        let (sel, slot) = q.min_all(0).expect("keyed");
         assert_eq!(sel.key, 10.0);
         assert_eq!(q.get(slot).req.id.as_u64(), 1);
         q.remove(slot);
-        assert_eq!(q.min_all().map(|(s, _)| s.key), Some(30.0));
+        assert_eq!(q.min_all(0).map(|(s, _)| s.key), Some(30.0));
         assert_eq!(q.len(), 2);
     }
 
     #[test]
-    fn linear_mode_skips_index_upkeep() {
-        // The reference path keeps only the slab and order list.
-        let mut q = BankQueue::new(false, true);
-        let slot = q.push(Pending {
-            req: request(0, 3, false, 7),
-            vft: None,
-            ras_issued: 0,
-        });
-        q.get_mut(slot).vft = Some(5.0); // linear binding writes in place
-        assert_eq!(q.get(slot).vft, Some(5.0));
-        assert_eq!(q.remove(slot).req.id.as_u64(), 0);
-        assert!(q.is_empty());
+    fn thread_tiers_compact_dead_entries() {
+        // A thread that never flips still keeps its entry list bounded by
+        // its live entries: compaction on a full list drops the dead.
+        let mut queues = vec![BankQueue::new(false)];
+        let mut tiers = ThreadTiers::new(vec![0]);
+        for id in 0..1_000u64 {
+            let slot = queues[0].push(
+                Pending {
+                    req: request(id, 0, 2, false, id),
+                    vft: None,
+                    ras_issued: 0,
+                },
+                0,
+            );
+            tiers.note_push(0, 0, slot, id, &queues);
+            queues[0].remove(slot);
+        }
+        assert!(tiers.entries[0].capacity() <= 8, "dead entries accumulated");
     }
 }

@@ -1,19 +1,17 @@
 //! Free-running executor differential suite (release gate): the
 //! work-stealing free-run engine must be bit-identical to the serial
-//! engine — and to the lockstep epoch-barrier reference — across all six
-//! schedulers × fault plans, and its checkpoint/resume paths must produce
+//! engine across all six schedulers × fault plans, and its checkpoint/resume paths must produce
 //! byte-identical snapshots and bit-identical resumed runs.
 //!
 //! This extends the PR 1 `parallel_equivalence` and PR 5
 //! `checkpoint_differential` machinery to the PR 8 executor: the former
 //! pinned down *what* a parallel run must equal, this suite pins down
-//! that every executor (serial, lockstep, free-run) and every
+//! that every executor (serial, free-run) and every
 //! checkpoint path (serial, parallel) is interchangeable.
 
 use fqms_memctrl::engine::{
     resume_parallel, resume_serial, simulate_parallel, simulate_parallel_checkpointed,
-    simulate_parallel_lockstep, simulate_serial, simulate_serial_checkpointed, synthetic_workload,
-    EngineSpec, RetryPolicy,
+    simulate_serial, simulate_serial_checkpointed, synthetic_workload, EngineSpec, RetryPolicy,
 };
 use fqms_memctrl::policy::SchedulerKind;
 use fqms_sim::fault::{FaultKind, FaultPlan, FaultWindow};
@@ -50,7 +48,7 @@ fn faults(seed: u64) -> FaultPlan {
 
 fn spec_for(scheduler: SchedulerKind, plan: Option<FaultPlan>) -> EngineSpec {
     let mut spec = EngineSpec::paper(4, 4);
-    spec.config.set_scheduler(scheduler);
+    spec.config.scheduler = scheduler;
     spec.epoch_cycles = 512;
     spec.event_capacity = Some(1 << 20);
     spec.fault_plan = plan.clone();
@@ -62,9 +60,9 @@ fn spec_for(scheduler: SchedulerKind, plan: Option<FaultPlan>) -> EngineSpec {
 
 #[test]
 fn every_executor_agrees_across_schedulers_and_faults() {
-    // Six schedulers × {clean, faulted} × three worker counts: serial,
-    // free-run, and lockstep must produce the same report down to event
-    // streams and diagnostics.
+    // Six schedulers × {clean, faulted} × three worker counts: serial and
+    // free-run must produce the same report down to event streams and
+    // diagnostics.
     let events = synthetic_workload(4, 4_000, 0.5, 808);
     for scheduler in SchedulerKind::all() {
         for plan in [None, Some(faults(11))] {
@@ -78,8 +76,6 @@ fn every_executor_agrees_across_schedulers_and_faults() {
                     "{ctx}: free-run diverged at {workers} workers"
                 );
             }
-            let lockstep = simulate_parallel_lockstep(&spec, &events, 3).unwrap();
-            assert_eq!(serial, lockstep, "{ctx}: lockstep diverged");
         }
     }
 }

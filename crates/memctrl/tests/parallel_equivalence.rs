@@ -7,14 +7,13 @@
 
 use fqms_dram::checker::ProtocolChecker;
 use fqms_memctrl::engine::{
-    simulate_parallel, simulate_parallel_lockstep, simulate_serial, synthetic_workload,
-    EngineReport, EngineSpec,
+    simulate_parallel, simulate_serial, synthetic_workload, EngineReport, EngineSpec,
 };
 use fqms_memctrl::policy::SchedulerKind;
 
 fn four_channel_spec(kind: SchedulerKind) -> EngineSpec {
     let mut spec = EngineSpec::paper(4, 4);
-    spec.config.set_scheduler(kind);
+    spec.config.scheduler = kind;
     spec.epoch_cycles = 512;
     spec.log_capacity = Some(1_000_000);
     // Observers attached: the bit-identity guarantee must extend to the
@@ -87,30 +86,6 @@ fn equivalence_holds_for_every_scheduler() {
         let serial = simulate_serial(&spec, &events).unwrap();
         let parallel = simulate_parallel(&spec, &events, 4).unwrap();
         assert_bit_identical(&serial, &parallel, kind.name());
-    }
-}
-
-#[test]
-fn lockstep_and_free_run_executors_are_interchangeable() {
-    // The PR 8 free-running executor (behind `simulate_parallel`) and the
-    // PR 1 epoch-barrier executor must be mutually bit-identical, not
-    // just each identical to serial: any divergence between the two
-    // parallel paths is an executor bug even if one of them happens to
-    // match serial on this mix.
-    for kind in [SchedulerKind::FrFcfs, SchedulerKind::FqVftf] {
-        let spec = four_channel_spec(kind);
-        let events = four_channel_mix(1234);
-        let serial = simulate_serial(&spec, &events).unwrap();
-        for workers in [2, 3, 8] {
-            let free = simulate_parallel(&spec, &events, workers).unwrap();
-            let lockstep = simulate_parallel_lockstep(&spec, &events, workers).unwrap();
-            assert_bit_identical(&serial, &free, &format!("{kind} free-run x{workers}"));
-            assert_bit_identical(&serial, &lockstep, &format!("{kind} lockstep x{workers}"));
-            assert_eq!(
-                free, lockstep,
-                "{kind}: executors diverged at {workers} workers"
-            );
-        }
     }
 }
 
