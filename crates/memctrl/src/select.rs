@@ -248,7 +248,8 @@ fn tree_min(a: Option<TreeVal>, b: Option<TreeVal>) -> Option<TreeVal> {
 #[derive(Debug, Clone)]
 pub struct TournamentTree {
     /// 1-based complete tree: `nodes[1]` is the root, leaf `l` lives at
-    /// `nodes[cap + l]`. `nodes.len() == 2 * cap`.
+    /// `nodes[cap + l]`. `nodes.len() == 2 * cap` (empty, allocation-free,
+    /// until the first leaf).
     nodes: Vec<Option<TreeVal>>,
     cap: usize,
     leaves: usize,
@@ -264,8 +265,8 @@ impl TournamentTree {
     /// An empty tournament with no leaves.
     pub fn new() -> Self {
         TournamentTree {
-            nodes: vec![None; 2],
-            cap: 1,
+            nodes: Vec::new(),
+            cap: 0,
             leaves: 0,
         }
     }
@@ -286,7 +287,7 @@ impl TournamentTree {
     }
 
     fn grow(&mut self) {
-        let new_cap = self.cap * 2;
+        let new_cap = (self.cap * 2).max(1);
         let mut nodes = vec![None; 2 * new_cap];
         nodes[new_cap..new_cap + self.leaves]
             .clone_from_slice(&self.nodes[self.cap..self.cap + self.leaves]);
@@ -310,7 +311,7 @@ impl TournamentTree {
 
     /// The overall winner across all leaves.
     pub fn min(&self) -> Option<TreeVal> {
-        self.nodes[1]
+        self.nodes.get(1).copied().flatten()
     }
 
     /// The winner with leaf `leaf` masked out: combines the sibling
