@@ -20,7 +20,7 @@ cargo build --release --offline
 echo "=== cargo test -q --offline ==="
 cargo test -q --offline
 
-echo "=== release: differential + parallel + fast-forward + fault + selection golden ==="
+echo "=== release: differential + parallel + fast-forward + fault + selection golden + cache + prewarm golden ==="
 cargo test -q --release --offline -p fqms-memctrl \
   --test differential --test parallel_equivalence \
   --test fast_forward_equivalence --test fault_differential \
@@ -29,6 +29,8 @@ cargo test -q --release --offline -p fqms-memctrl \
   --test blacklist_properties --test freerun_differential \
   --test rt_wcet --test overload_differential
 cargo test -q --release --offline -p fqms-sim --test freerun_properties
+cargo test -q --release --offline -p fqms-cpu --test cache_properties
+cargo test -q --release --offline -p fqms --test prewarm_golden
 
 echo "=== perfbench smoke test: the benchmark still builds against crates/ ==="
 # perfbench/ is a separate Cargo package (the repository benchmark, see

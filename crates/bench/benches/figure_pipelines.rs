@@ -8,6 +8,9 @@
 
 use fqms::prelude::*;
 use fqms_bench::timing::TimingHarness;
+use fqms_cpu::core::{Core, CoreConfig};
+use fqms_memctrl::request::ThreadId;
+use fqms_workloads::generator::SyntheticTrace;
 use std::hint::black_box;
 
 const LEN: RunLength = RunLength {
@@ -63,8 +66,25 @@ fn bench_baseline(h: &mut TimingHarness) {
     }
 }
 
+/// The cache-prewarm kernel alone: a fresh core at the paper geometry
+/// streams art's prewarm budget (4 passes over its 32 MiB footprint,
+/// 2,097,152 references) through L1D/L2. Divide `mean_us` by 2.097 for
+/// ns per access.
+fn bench_prewarm(h: &mut TimingHarness) {
+    let art = by_name("art").unwrap();
+    let config = CoreConfig::paper();
+    let accesses = 4 * art.footprint_bytes / config.l1d.line_bytes;
+    h.bench(&format!("prewarm/art_{accesses}_accesses"), || {
+        let trace = SyntheticTrace::for_thread(art, 3, 0).unwrap();
+        let mut core = Core::new(config, ThreadId::new(0), Box::new(trace)).unwrap();
+        core.prewarm_caches(black_box(accesses));
+        core
+    });
+}
+
 fn main() {
     let mut h = TimingHarness::new("figure_pipelines");
+    bench_prewarm(&mut h);
     bench_solo_runs(&mut h);
     bench_two_core(&mut h);
     bench_four_core(&mut h);

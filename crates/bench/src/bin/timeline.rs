@@ -41,9 +41,10 @@ fn main() {
         let early = SyntheticTrace::for_thread(swim, seed, 0).unwrap_or_else(|e| {
             panic!("timeline: invalid trace for early swim thread (seed {seed}): {e}")
         });
-        // Prewarm the late thread's caches *before* wrapping in the delay
-        // (prewarming skips compute ops and would otherwise consume the
-        // whole delay prefix).
+        // The late thread gets no prewarm budget: prewarming consumes
+        // compute ops, so it would spend the delay prefix (or give up
+        // inside it, after as many idle ops as its budget) instead of
+        // warming the caches.
         let late_inner = SyntheticTrace::for_thread(swim, seed, 1).unwrap_or_else(|e| {
             panic!("timeline: invalid trace for late swim thread (seed {seed}): {e}")
         });

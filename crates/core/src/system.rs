@@ -280,7 +280,10 @@ impl SystemBuilder {
     /// Adds a thread driven by a caller-supplied trace source (e.g. one of
     /// the `fqms_workloads::patterns` generators or a recorded trace).
     /// `prewarm_accesses` references are streamed through the caches
-    /// before measurement if prewarming is enabled.
+    /// before measurement if prewarming is enabled. Compute-only ops are
+    /// consumed along the way, and warming gives up after
+    /// `prewarm_accesses` of them in a row (see [`Core::prewarm_caches`]),
+    /// so a source with no memory references still builds.
     pub fn workload_trace(
         mut self,
         name: impl Into<String>,
@@ -871,6 +874,17 @@ impl System {
 mod tests {
     use super::*;
     use fqms_workloads::spec::by_name;
+
+    #[test]
+    fn prewarm_of_compute_only_trace_terminates() {
+        use fqms_cpu::trace::TraceOp;
+        let mut sys = SystemBuilder::new()
+            .workload_trace("x", Box::new(|| TraceOp::compute(1)), 1000)
+            .build()
+            .unwrap();
+        let m = sys.run(5_000, 100_000);
+        assert_eq!(m.threads[0].mem_reads, 0);
+    }
 
     #[test]
     fn build_requires_workloads() {

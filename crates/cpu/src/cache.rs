@@ -3,6 +3,13 @@
 //! The model is a *performance* model: it tracks which lines are present
 //! and dirty, not their data. Both the private L1 data cache and the
 //! private L2 of the paper's Table 5 are instances of this type.
+//!
+//! It is also the inner loop of functional cache prewarm (millions of
+//! references per core per `SystemBuilder::build`), so lookups are kept
+//! cheap: the directory is one flat array rather than one allocation per
+//! set, set index and tag come from shifts and masks, and
+//! [`Cache::access`] does a probe and its miss fill in one pass over the
+//! set.
 
 use fqms_sim::snapshot::{SectionReader, SectionWriter, Snapshot, SnapshotError};
 
@@ -74,7 +81,7 @@ impl CacheConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 struct Line {
     tag: u64,
     dirty: bool,
@@ -92,6 +99,14 @@ pub enum Lookup {
 
 /// A set-associative, write-back cache (performance model).
 ///
+/// The line directory is one flat array of `sets × ways` slots: set `s`
+/// owns slots `s * ways ..`, of which the first `len[s]` hold lines in
+/// fill order. A fill into a full set moves the set's last line into the
+/// LRU victim's slot and appends the new line, so the order inside a set —
+/// and with it the [`Snapshot`] encoding — is exactly that of a per-set
+/// `Vec` under `swap_remove` + `push`. Line size and set count are powers
+/// of two ([`CacheConfig::validate`]), so indexing is shifts and masks.
+///
 /// # Example
 ///
 /// ```
@@ -105,7 +120,17 @@ pub enum Lookup {
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    sets: Vec<Vec<Line>>,
+    /// `sets × ways` line slots, set-major.
+    lines: Vec<Line>,
+    /// Occupied slots per set (a prefix of the set's slots).
+    len: Vec<u32>,
+    ways: usize,
+    /// `log2(line_bytes)`.
+    line_shift: u32,
+    /// `log2(sets)`.
+    set_bits: u32,
+    /// `sets - 1`.
+    set_mask: u64,
     stamp: u64,
     hits: u64,
     misses: u64,
@@ -119,9 +144,16 @@ impl Cache {
     /// Returns a description if the configuration is invalid.
     pub fn new(config: CacheConfig) -> Result<Self, String> {
         config.validate()?;
+        let sets = config.sets();
+        let ways = config.ways as usize;
         Ok(Cache {
             config,
-            sets: vec![Vec::new(); config.sets() as usize],
+            lines: vec![Line::default(); sets as usize * ways],
+            len: vec![0; sets as usize],
+            ways,
+            line_shift: config.line_bytes.trailing_zeros(),
+            set_bits: sets.trailing_zeros(),
+            set_mask: sets - 1,
             stamp: 0,
             hits: 0,
             misses: 0,
@@ -134,10 +166,41 @@ impl Cache {
     }
 
     fn index_tag(&self, addr: u64) -> (usize, u64) {
-        let line = addr / self.config.line_bytes;
-        let set = (line % self.config.sets()) as usize;
-        let tag = line / self.config.sets();
-        (set, tag)
+        let line = addr >> self.line_shift;
+        ((line & self.set_mask) as usize, line >> self.set_bits)
+    }
+
+    /// The occupied slots of `set`.
+    fn set_lines(&self, set: usize) -> &[Line] {
+        let base = set * self.ways;
+        &self.lines[base..base + self.len[set] as usize]
+    }
+
+    /// One pass over `set`: `Ok` with the slot holding `tag`, or else `Err`
+    /// with the slot a fill must evict — the least recently used line,
+    /// when the set is full.
+    fn search(&self, set: usize, tag: u64) -> Result<usize, Option<usize>> {
+        let lines = self.set_lines(set);
+        let mut victim = 0;
+        let mut oldest = u64::MAX;
+        for (i, line) in lines.iter().enumerate() {
+            if line.tag == tag {
+                return Ok(i);
+            }
+            if line.lru < oldest {
+                oldest = line.lru;
+                victim = i;
+            }
+        }
+        Err((lines.len() == self.ways).then_some(victim))
+    }
+
+    /// Marks the line in `slot` of `set` most recently used, and dirty if
+    /// `write`.
+    fn touch(&mut self, set: usize, slot: usize, write: bool) {
+        let line = &mut self.lines[set * self.ways + slot];
+        line.lru = self.stamp;
+        line.dirty |= write;
     }
 
     /// Looks up `addr`; on a hit updates LRU and, if `write`, marks the
@@ -145,17 +208,16 @@ impl Cache {
     pub fn probe(&mut self, addr: u64, write: bool) -> Lookup {
         let (set, tag) = self.index_tag(addr);
         self.stamp += 1;
-        let stamp = self.stamp;
-        if let Some(line) = self.sets[set].iter_mut().find(|l| l.tag == tag) {
-            line.lru = stamp;
-            if write {
-                line.dirty = true;
+        match self.search(set, tag) {
+            Ok(slot) => {
+                self.touch(set, slot, write);
+                self.hits += 1;
+                Lookup::Hit
             }
-            self.hits += 1;
-            Lookup::Hit
-        } else {
-            self.misses += 1;
-            Lookup::Miss
+            Err(_) => {
+                self.misses += 1;
+                Lookup::Miss
+            }
         }
     }
 
@@ -167,40 +229,74 @@ impl Cache {
     pub fn fill(&mut self, addr: u64, write: bool) -> Option<u64> {
         let (set, tag) = self.index_tag(addr);
         self.stamp += 1;
-        let stamp = self.stamp;
-        let ways = self.config.ways as usize;
-        let set_vec = &mut self.sets[set];
-        if let Some(line) = set_vec.iter_mut().find(|l| l.tag == tag) {
+        match self.search(set, tag) {
             // Already present (e.g. racing fills); just refresh.
-            line.lru = stamp;
-            if write {
-                line.dirty = true;
+            Ok(slot) => {
+                self.touch(set, slot, write);
+                None
             }
-            return None;
+            Err(victim) => self.insert(set, tag, write, victim),
         }
-        let mut evicted = None;
-        if set_vec.len() >= ways {
-            let victim = set_vec
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, l)| l.lru)
-                .map(|(i, _)| i)
-                .expect("non-empty set");
-            let v = set_vec.swap_remove(victim);
-            if v.dirty {
-                evicted = Some(self.line_addr(set, v.tag));
+    }
+
+    /// [`Cache::probe`] and, on a miss, [`Cache::fill`], with one pass over
+    /// the set that finds the tag or the LRU victim. The effect on lines,
+    /// LRU stamps and hit/miss counters is exactly that of the two calls.
+    /// A dirty victim's writeback is dropped, so this is for functional
+    /// warming, where no memory traffic is modelled.
+    pub fn access(&mut self, addr: u64, write: bool) -> Lookup {
+        let (set, tag) = self.index_tag(addr);
+        self.stamp += 1;
+        let stamp = self.stamp;
+        let base = set * self.ways;
+        let len = self.len[set] as usize;
+        // `search` + `touch` fused by hand: this is the prewarm inner loop,
+        // and going through the two helpers measured about 10% slower.
+        let mut victim = 0;
+        let mut oldest = u64::MAX;
+        for (i, line) in self.lines[base..base + len].iter_mut().enumerate() {
+            if line.tag == tag {
+                line.lru = stamp;
+                line.dirty |= write;
+                self.hits += 1;
+                return Lookup::Hit;
+            }
+            if line.lru < oldest {
+                oldest = line.lru;
+                victim = i;
             }
         }
-        self.sets[set].push(Line {
+        self.misses += 1;
+        self.stamp += 1;
+        let _ = self.insert(set, tag, write, (len == self.ways).then_some(victim));
+        Lookup::Miss
+    }
+
+    /// Appends a new line for `tag` stamped with the current stamp to
+    /// `set`. When `victim` is given the set is full: the victim's slot
+    /// takes the set's last line and the new line goes last. Returns the
+    /// byte address of a dirty victim.
+    fn insert(&mut self, set: usize, tag: u64, write: bool, victim: Option<usize>) -> Option<u64> {
+        let new = Line {
             tag,
             dirty: write,
-            lru: stamp,
-        });
-        evicted
+            lru: self.stamp,
+        };
+        let base = set * self.ways;
+        let Some(victim) = victim else {
+            self.lines[base + self.len[set] as usize] = new;
+            self.len[set] += 1;
+            return None;
+        };
+        let last = base + self.ways - 1;
+        let moved = self.lines[last];
+        let old = std::mem::replace(&mut self.lines[base + victim], moved);
+        self.lines[last] = new;
+        old.dirty.then(|| self.line_addr(set, old.tag))
     }
 
     fn line_addr(&self, set: usize, tag: u64) -> u64 {
-        (tag * self.config.sets() + set as u64) * self.config.line_bytes
+        ((tag << self.set_bits) | set as u64) << self.line_shift
     }
 
     /// `(hits, misses)` counted so far.
@@ -216,10 +312,10 @@ impl Snapshot for Cache {
         w.put_u64(self.config.size_bytes);
         w.put_u32(self.config.ways);
         w.put_u64(self.config.line_bytes);
-        w.put_seq_len(self.sets.len());
-        for set in &self.sets {
-            w.put_seq_len(set.len());
-            for line in set {
+        w.put_seq_len(self.len.len());
+        for (set, &len) in self.lines.chunks_exact(self.ways).zip(&self.len) {
+            w.put_seq_len(len as usize);
+            for line in &set[..len as usize] {
                 w.put_u64(line.tag);
                 w.put_bool(line.dirty);
                 w.put_u64(line.lru);
@@ -245,28 +341,28 @@ impl Snapshot for Cache {
             )));
         }
         let nsets = r.seq_len()?;
-        if nsets != self.sets.len() {
+        if nsets != self.len.len() {
             return Err(r.malformed(format!(
                 "snapshot has {nsets} sets, cache has {}",
-                self.sets.len()
+                self.len.len()
             )));
         }
-        for set in &mut self.sets {
+        for (set, len) in self.lines.chunks_exact_mut(self.ways).zip(&mut self.len) {
             let n = r.seq_len()?;
-            if n > self.config.ways as usize {
+            if n > set.len() {
                 return Err(r.malformed(format!(
                     "{n} lines in a set exceed {}-way associativity",
                     self.config.ways
                 )));
             }
-            set.clear();
-            for _ in 0..n {
-                set.push(Line {
+            for slot in &mut set[..n] {
+                *slot = Line {
                     tag: r.get_u64()?,
                     dirty: r.get_bool()?,
                     lru: r.get_u64()?,
-                });
+                };
             }
+            *len = n as u32;
         }
         self.stamp = r.get_u64()?;
         self.hits = r.get_u64()?;

@@ -200,6 +200,13 @@ impl L2Handle {
             L2Handle::Shared(c) => c.borrow_mut().fill(addr, write),
         }
     }
+
+    fn access(&mut self, addr: u64, write: bool) -> Lookup {
+        match self {
+            L2Handle::Private(c) => c.access(addr, write),
+            L2Handle::Shared(c) => c.borrow_mut().access(addr, write),
+        }
+    }
 }
 
 /// A trace-driven core attached to a shared memory controller as one
@@ -340,23 +347,34 @@ impl Core {
     /// references from the trace through the caches with no timing — the
     /// equivalent of starting from a sampled trace with warm caches.
     /// Writeback traffic and timing are discarded; the trace simply
-    /// advances past its warmup prefix.
+    /// advances past its warmup prefix, compute-only ops included.
+    ///
+    /// Each reference costs one [`Cache::access`] per level it reaches
+    /// (stores go straight to the L2, loads through the L1D): a single
+    /// pass over the set that hits, or misses and fills.
+    ///
+    /// Warming stops early once `accesses` consecutive ops carry no memory
+    /// reference, so a compute-only trace (or one whose first reference
+    /// lies further off than that) cannot stall it.
     pub fn prewarm_caches(&mut self, accesses: u64) {
-        for _ in 0..accesses {
-            let acc = loop {
-                if let Some(acc) = self.trace.next_op().access {
-                    break acc;
+        let mut warmed = 0;
+        let mut idle = 0;
+        while warmed < accesses {
+            let Some(acc) = self.trace.next_op().access else {
+                idle += 1;
+                if idle >= accesses {
+                    return;
                 }
+                continue;
             };
+            idle = 0;
+            warmed += 1;
+            // The L1D and the L2 keep independent LRU stamps, so the order
+            // of the two accesses does not matter.
             if acc.is_write {
-                if self.l2.probe(acc.addr, true) == Lookup::Miss {
-                    let _ = self.l2.fill(acc.addr, true);
-                }
-            } else if self.l1d.probe(acc.addr, false) == Lookup::Miss {
-                if self.l2.probe(acc.addr, false) == Lookup::Miss {
-                    let _ = self.l2.fill(acc.addr, false);
-                }
-                let _ = self.l1d.fill(acc.addr, false);
+                self.l2.access(acc.addr, true);
+            } else if self.l1d.access(acc.addr, false) == Lookup::Miss {
+                self.l2.access(acc.addr, false);
             }
         }
     }
@@ -891,6 +909,43 @@ mod tests {
         let mut mc = mc();
         run(&mut core, &mut mc, 10_000);
         assert!(core.ipc() > 7.8, "ipc was {}", core.ipc());
+    }
+
+    #[test]
+    fn prewarm_of_compute_only_trace_returns() {
+        let pulled = Rc::new(std::cell::Cell::new(0u64));
+        let counter = Rc::clone(&pulled);
+        let trace = move || {
+            counter.set(counter.get() + 1);
+            TraceOp::compute(1)
+        };
+        let mut core = Core::new(CoreConfig::paper(), ThreadId::new(0), Box::new(trace)).unwrap();
+        core.prewarm_caches(1_000);
+        assert_eq!(pulled.get(), 1_000, "gives up after the budget of idle ops");
+        assert_eq!(core.l1d.hit_miss_counts(), (0, 0));
+    }
+
+    #[test]
+    fn prewarm_passes_a_compute_prefix_shorter_than_its_budget() {
+        // 999 compute ops, then loads cycling over 16 lines.
+        let mut i = 0u64;
+        let trace = move || {
+            i += 1;
+            if i < 1_000 {
+                return TraceOp::compute(1);
+            }
+            TraceOp {
+                work: 0,
+                access: Some(MemAccess {
+                    addr: (i % 16) * 64,
+                    is_write: false,
+                    dependent: false,
+                }),
+            }
+        };
+        let mut core = Core::new(CoreConfig::paper(), ThreadId::new(0), Box::new(trace)).unwrap();
+        core.prewarm_caches(1_000);
+        assert_eq!(core.l1d.hit_miss_counts(), (1_000 - 16, 16));
     }
 
     #[test]

@@ -113,12 +113,58 @@ impl SimRng {
     ///
     /// Panics if `p` is not in `(0, 1]`.
     pub fn geometric(&mut self, p: f64) -> u64 {
+        Geometric::new(p).sample(self)
+    }
+}
+
+/// A geometric distribution over the number of failures before the first
+/// success, with success probability `p`, sampled by inversion.
+///
+/// `ln(1 - p)` is computed once here, so a draw costs one `ln`; a sampler
+/// built once and drawn many times (as the workload generators do) gives
+/// exactly the values of [`SimRng::geometric`].
+///
+/// # Example
+///
+/// ```
+/// use fqms_sim::rng::{Geometric, SimRng};
+///
+/// let burst = Geometric::new(0.25);
+/// let (mut a, mut b) = (SimRng::new(7), SimRng::new(7));
+/// assert_eq!(burst.sample(&mut a), b.geometric(0.25));
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Geometric {
+    p: f64,
+    ln_q: f64,
+}
+
+impl Geometric {
+    /// A sampler with success probability `p`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is not in `(0, 1]`.
+    pub fn new(p: f64) -> Self {
         assert!(p > 0.0 && p <= 1.0, "geometric p must be in (0, 1]");
-        if p >= 1.0 {
+        Geometric {
+            p,
+            ln_q: (1.0 - p).ln(),
+        }
+    }
+
+    /// Draws one value (>= 0). With `p = 1` the answer is always 0 and
+    /// nothing is drawn from `rng`.
+    #[inline]
+    pub fn sample(&self, rng: &mut SimRng) -> u64 {
+        if self.p >= 1.0 {
             return 0;
         }
-        let u = self.next_f64().max(f64::MIN_POSITIVE);
-        (u.ln() / (1.0 - p).ln()).floor() as u64
+        let u = rng.next_f64().max(f64::MIN_POSITIVE);
+        // Both logarithms are <= 0, so the quotient is >= 0 (or -inf when
+        // `1 - p` rounds to 1, which casts to 0 either way): the
+        // truncating, saturating cast is exactly `floor`.
+        (u.ln() / self.ln_q) as u64
     }
 }
 
@@ -372,6 +418,28 @@ mod tests {
     fn geometric_p_one_is_zero() {
         let mut rng = SimRng::new(29);
         assert_eq!(rng.geometric(1.0), 0);
+    }
+
+    #[test]
+    fn geometric_p_one_draws_nothing() {
+        let mut rng = SimRng::new(29);
+        let untouched = rng.clone();
+        assert_eq!(Geometric::new(1.0).sample(&mut rng), 0);
+        assert_eq!(rng, untouched);
+    }
+
+    #[test]
+    fn geometric_sampler_matches_full_formula() {
+        for p in [1e-17, 1e-9, 1e-3, 0.04, 0.25, 2.0 / 3.0, 0.5, 0.999_999] {
+            let sampler = Geometric::new(p);
+            let mut a = SimRng::new(31);
+            let mut b = SimRng::new(31);
+            for _ in 0..2_000 {
+                let u = b.next_f64().max(f64::MIN_POSITIVE);
+                let want = (u.ln() / (1.0 - p).ln()).floor() as u64;
+                assert_eq!(sampler.sample(&mut a), want, "p = {p}");
+            }
+        }
     }
 
     #[test]

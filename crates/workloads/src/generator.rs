@@ -2,7 +2,7 @@
 
 use crate::profile::WorkloadProfile;
 use fqms_cpu::trace::{MemAccess, TraceOp, TraceSource};
-use fqms_sim::rng::SimRng;
+use fqms_sim::rng::{Geometric, SimRng};
 use fqms_sim::snapshot::{SectionReader, SectionWriter, Snapshot, SnapshotError};
 
 /// An infinite synthetic instruction/reference stream with the statistics
@@ -40,7 +40,17 @@ pub struct SyntheticTrace {
     lines: u64,
     /// References remaining in the current miss burst (0 = not bursting).
     burst_left: u64,
+    /// Burst length beyond the first reference (mean `burst_len - 1`).
+    burst_len: Geometric,
+    /// Work between references inside a burst (mean 0.5).
+    burst_work: Geometric,
+    /// Work between references outside bursts (mean `work_per_access`);
+    /// `None` when that mean is 0.
+    work: Option<Geometric>,
 }
+
+/// Mean work between references inside a miss burst.
+const BURST_WORK_MEAN: f64 = 0.5;
 
 /// Byte alignment of per-thread address regions: 64 MiB keeps four threads'
 /// footprints disjoint on the paper's 256 MiB device.
@@ -58,6 +68,8 @@ impl SyntheticTrace {
         let lines = profile.footprint_bytes / 64;
         let mut rng = SimRng::new(seed ^ 0xF0FA_57F0_0D5E_ED00);
         let cur_line = rng.next_below(lines);
+        // Geometric with mean `mean`: success probability 1/(1+mean).
+        let with_mean = |mean: f64| Geometric::new(1.0 / (1.0 + mean));
         Ok(SyntheticTrace {
             profile,
             rng,
@@ -65,6 +77,9 @@ impl SyntheticTrace {
             cur_line,
             lines,
             burst_left: 0,
+            burst_len: Geometric::new(1.0 / profile.burst_len.max(1.0)),
+            burst_work: with_mean(BURST_WORK_MEAN),
+            work: (profile.work_per_access > 0.0).then(|| with_mean(profile.work_per_access)),
         })
     }
 
@@ -95,7 +110,10 @@ impl SyntheticTrace {
 
     fn next_addr(&mut self) -> u64 {
         if self.rng.chance(self.profile.row_locality) {
-            self.cur_line = (self.cur_line + 1) % self.lines;
+            self.cur_line += 1;
+            if self.cur_line == self.lines {
+                self.cur_line = 0;
+            }
         } else {
             self.cur_line = self.rng.next_below(self.lines);
         }
@@ -111,20 +129,15 @@ impl TraceSource for SyntheticTrace {
             && self.profile.burstiness > 0.0
             && self.rng.chance(self.profile.burstiness)
         {
-            self.burst_left = 1 + self.rng.geometric(1.0 / self.profile.burst_len.max(1.0));
+            self.burst_left = 1 + self.burst_len.sample(&mut self.rng);
         }
-        let mean = if self.burst_left > 0 {
+        let work = if self.burst_left > 0 {
             self.burst_left -= 1;
-            0.5
+            Some(&self.burst_work)
         } else {
-            self.profile.work_per_access
+            self.work.as_ref()
         };
-        let work = if mean <= 0.0 {
-            0
-        } else {
-            // Geometric with mean `mean`: success probability 1/(1+mean).
-            self.rng.geometric(1.0 / (1.0 + mean)).min(u32::MAX as u64) as u32
-        };
+        let work = work.map_or(0, |g| g.sample(&mut self.rng).min(u32::MAX as u64) as u32);
         let addr = self.next_addr();
         let is_write = self.rng.chance(self.profile.write_fraction);
         let dependent = !is_write && self.rng.chance(self.profile.dependence);

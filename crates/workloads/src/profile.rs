@@ -52,8 +52,11 @@ impl WorkloadProfile {
     ///
     /// Returns a description of the offending field.
     pub fn validate(&self) -> Result<(), String> {
-        if self.work_per_access < 0.0 {
-            return Err(format!("{}: work_per_access must be >= 0", self.name));
+        if !(self.work_per_access >= 0.0 && self.work_per_access.is_finite()) {
+            return Err(format!(
+                "{}: work_per_access must be finite and >= 0",
+                self.name
+            ));
         }
         if self.footprint_bytes < 4096 {
             return Err(format!("{}: footprint must be at least 4 KiB", self.name));
@@ -68,9 +71,9 @@ impl WorkloadProfile {
                 return Err(format!("{}: {field} must be in [0, 1], got {v}", self.name));
             }
         }
-        if self.burstiness > 0.0 && self.burst_len < 1.0 {
+        if self.burstiness > 0.0 && !(self.burst_len >= 1.0 && self.burst_len.is_finite()) {
             return Err(format!(
-                "{}: burst_len must be >= 1 when bursts are enabled",
+                "{}: burst_len must be finite and >= 1 when bursts are enabled",
                 self.name
             ));
         }
@@ -146,5 +149,14 @@ mod tests {
         let mut p = WorkloadProfile::stream("s", 4.0);
         p.footprint_bytes = 64;
         assert!(p.validate().is_err());
+        for bad in [f64::NAN, f64::INFINITY] {
+            let mut p = WorkloadProfile::stream("s", 4.0);
+            p.work_per_access = bad;
+            assert!(p.validate().is_err(), "work_per_access {bad}");
+            let mut p = WorkloadProfile::stream("s", 4.0);
+            p.burstiness = 0.1;
+            p.burst_len = bad;
+            assert!(p.validate().is_err(), "burst_len {bad}");
+        }
     }
 }
