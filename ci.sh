@@ -20,7 +20,7 @@ cargo build --release --offline
 echo "=== cargo test -q --offline ==="
 cargo test -q --offline
 
-echo "=== release: differential + parallel + fast-forward + fault + selection golden + cache + prewarm golden ==="
+echo "=== release: differential + parallel + fast-forward + fault + selection golden + cache + prewarm golden + stall golden ==="
 cargo test -q --release --offline -p fqms-memctrl \
   --test differential --test parallel_equivalence \
   --test fast_forward_equivalence --test fault_differential \
@@ -30,7 +30,7 @@ cargo test -q --release --offline -p fqms-memctrl \
   --test rt_wcet --test overload_differential
 cargo test -q --release --offline -p fqms-sim --test freerun_properties
 cargo test -q --release --offline -p fqms-cpu --test cache_properties
-cargo test -q --release --offline -p fqms --test prewarm_golden
+cargo test -q --release --offline -p fqms --test prewarm_golden --test system_stall_golden
 
 echo "=== perfbench smoke test: the benchmark still builds against crates/ ==="
 # perfbench/ is a separate Cargo package (the repository benchmark, see

@@ -48,10 +48,10 @@ pub fn f(x: f64) -> String {
 
 /// End-of-run diagnostics for a figure binary, printed to **stderr** so
 /// `run_figures.sh` captures them in the binary's `results/<bin>.log`
-/// sidecar: total wall-clock, controller cycles simulated, and the
-/// fraction the event-driven fast path skipped (see
-/// [`fqms::telemetry`]). Construct one at the top of `main` and let it
-/// drop on exit.
+/// sidecar: total wall-clock, controller cycles simulated, the fraction
+/// the event-driven fast path skipped, and the cache probes stalled cores
+/// charged without searching a set (see [`fqms::telemetry`]).
+/// Construct one at the top of `main` and let it drop on exit.
 pub struct RunLog {
     t0: std::time::Instant,
 }
@@ -73,6 +73,10 @@ impl Drop for RunLog {
         eprintln!("#controller_cycles_stepped\t{stepped}");
         eprintln!("#controller_cycles_skipped\t{skipped}");
         eprintln!("#skip_rate\t{:.4}", fqms::telemetry::skip_rate());
+        eprintln!(
+            "#core_reprobes_charged\t{}",
+            fqms::telemetry::core_reprobes()
+        );
         let exec = fqms::telemetry::parallel_exec();
         eprintln!("#parallel_workers\t{}", exec.workers_peak);
         eprintln!("#parallel_steals\t{}", exec.steals);

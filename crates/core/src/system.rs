@@ -824,6 +824,7 @@ impl System {
             self.mc.stepped_cycles(),
             self.mc.skipped_cycles(),
         );
+        crate::telemetry::note_core_reprobes(self.cores.iter().map(Core::reprobes_charged).sum());
         if export {
             if let Some(sink) = self.mc.merged_metrics() {
                 crate::sidecar::append(&self.names.join("+"), self.scheduler.name(), &sink);

@@ -221,6 +221,15 @@ impl Cache {
         }
     }
 
+    /// Charges a [`Cache::probe`] whose miss is already known: the LRU
+    /// stamp and the miss counter advance exactly as that probe would
+    /// advance them, without searching the set. Only sound when nothing
+    /// could have filled the line since it was last found absent.
+    pub fn charge_miss(&mut self) {
+        self.stamp += 1;
+        self.misses += 1;
+    }
+
     /// Inserts the line containing `addr` (marking it dirty if `write`),
     /// evicting the LRU line of the set if full.
     ///

@@ -121,7 +121,8 @@ pub struct CoreStats {
     pub coalesced: u64,
     /// Dirty-line writebacks sent to memory.
     pub writebacks: u64,
-    /// Cycles dispatch stalled on a full MSHR file or a controller NACK.
+    /// Cycles dispatch stalled on a full MSHR file, a controller NACK, or
+    /// (for a store) a full writeback queue.
     pub backpressure_stall_cycles: u64,
     /// Cycles dispatch stalled on an address dependence (pointer chase).
     pub dependence_stall_cycles: u64,
@@ -169,6 +170,16 @@ struct OutstandingMiss {
 struct CurrentOp {
     work_left: u32,
     access: Option<crate::trace::MemAccess>,
+    /// A stalled attempt to dispatch this op's load found it missing from
+    /// L1 and a *private* L2 with no MSHR for its line. That stays true
+    /// until the op dispatches: a private cache fills a line only when an
+    /// MSHR for it completes, and while dispatch is stalled on this op no
+    /// MSHR for its line can start (prefetches follow a demand
+    /// submission). [`Core::on_completion`] asserts this in debug builds.
+    /// With a shared L2 another core's fill could make the line present,
+    /// so the memo is never set there. Never serialized: a restored core
+    /// starts without it and re-derives it.
+    missed: bool,
 }
 
 /// A core's second-level cache: private (the paper's configuration) or a
@@ -207,6 +218,13 @@ impl L2Handle {
             L2Handle::Shared(c) => c.borrow_mut().access(addr, write),
         }
     }
+
+    fn charge_miss(&mut self) {
+        match self {
+            L2Handle::Private(c) => c.charge_miss(),
+            L2Handle::Shared(c) => c.borrow_mut().charge_miss(),
+        }
+    }
 }
 
 /// A trace-driven core attached to a shared memory controller as one
@@ -234,6 +252,9 @@ pub struct Core {
     /// Load-miss round-trip latency distribution (CPU cycles; 32-cycle
     /// buckets out to ~8K cycles).
     latency_hist: Histogram,
+    /// Cache probes charged without a set search ([`CurrentOp::missed`]);
+    /// diagnostic, never serialized.
+    reprobes_charged: u64,
 }
 
 impl std::fmt::Debug for Core {
@@ -278,6 +299,7 @@ impl Core {
             cycles: 0,
             stats: CoreStats::default(),
             latency_hist: Histogram::new(32, 256),
+            reprobes_charged: 0,
         })
     }
 
@@ -332,15 +354,23 @@ impl Core {
         &self.latency_hist
     }
 
+    /// Cache probes this core charged to a load retry without searching
+    /// the set (its miss was already known), since the last
+    /// [`Core::reset_stats`].
+    pub fn reprobes_charged(&self) -> u64 {
+        self.reprobes_charged
+    }
+
     /// Zeroes the measurement counters (retired instructions, cycles,
-    /// statistics) while preserving all microarchitectural state — warm
-    /// caches, ROB contents, outstanding misses. Used to exclude warmup
-    /// from measurement.
+    /// statistics, fast-path charges) while preserving all
+    /// microarchitectural state — warm caches, ROB contents, outstanding
+    /// misses. Used to exclude warmup from measurement.
     pub fn reset_stats(&mut self) {
         self.retired = 0;
         self.cycles = 0;
         self.stats = CoreStats::default();
         self.latency_hist = Histogram::new(32, 256);
+        self.reprobes_charged = 0;
     }
 
     /// Functionally warms the cache hierarchy by running `accesses` memory
@@ -412,6 +442,13 @@ impl Core {
         if self.last_load_miss == Some(c.id) {
             self.last_load_miss = None;
         }
+        debug_assert!(
+            !self.current.is_some_and(|cur| cur.missed
+                && cur
+                    .access
+                    .is_some_and(|a| a.addr & !(self.config.l1d.line_bytes - 1) == miss.line)),
+            "a completion filled the line a stalled load memoized as missing"
+        );
         let demand = !miss.is_prefetch || !miss.entry_seqs.is_empty();
         if demand {
             let latency = data_ready.as_u64() - miss.issued_at.as_u64();
@@ -427,8 +464,10 @@ impl Core {
         if demand {
             let _ = self.l1d.fill(miss.line, false); // L1 load lines are never dirty
         }
-        for seq in &miss.entry_seqs {
-            if let Some(e) = self.rob.iter_mut().find(|e| e.seq == *seq) {
+        // ROB sequence numbers strictly increase front to back.
+        for &seq in &miss.entry_seqs {
+            let i = self.rob.partition_point(|e| e.seq < seq);
+            if let Some(e) = self.rob.get_mut(i).filter(|e| e.seq == seq) {
                 e.ready_at = data_ready;
             }
         }
@@ -485,6 +524,7 @@ impl Core {
                 self.current = Some(CurrentOp {
                     work_left: op.work,
                     access: op.access,
+                    missed: false,
                 });
             }
             let cur = self.current.expect("just ensured");
@@ -496,7 +536,7 @@ impl Core {
                 budget -= n;
                 self.current = Some(CurrentOp {
                     work_left: cur.work_left - n,
-                    access: cur.access,
+                    ..cur
                 });
                 continue;
             }
@@ -504,18 +544,18 @@ impl Core {
                 self.current = None;
                 continue;
             };
-            if acc.dependent {
-                if let Some(prev) = self.last_load_miss {
-                    if self.outstanding.contains_key(&prev) {
-                        self.stats.dependence_stall_cycles += 1;
-                        break; // pointer chase: wait for the previous load
-                    }
-                }
+            if acc.dependent
+                && self
+                    .last_load_miss
+                    .is_some_and(|prev| self.outstanding.contains_key(&prev))
+            {
+                self.stats.dependence_stall_cycles += 1;
+                break; // pointer chase: wait for the previous load
             }
             let dispatched = if acc.is_write {
                 self.dispatch_store(acc.addr, now)
             } else {
-                self.dispatch_load(acc.addr, now, now_dram, mc)
+                self.dispatch_load(acc.addr, cur.missed, now, now_dram, mc)
             };
             if !dispatched {
                 self.stats.backpressure_stall_cycles += 1;
@@ -548,41 +588,55 @@ impl Core {
         true
     }
 
+    /// Dispatches a load; `missed` says a stalled attempt already found
+    /// it absent from both levels with no MSHR for its line
+    /// ([`CurrentOp::missed`]).
     fn dispatch_load<P: MemoryPort>(
         &mut self,
         addr: u64,
+        missed: bool,
         now: CpuCycle,
         now_dram: DramCycle,
         mc: &mut P,
     ) -> bool {
         let line = addr & !(self.config.l1d.line_bytes - 1);
-        // Probe L1.
-        if self.l1d.probe(addr, false) == Lookup::Hit {
-            self.stats.loads += 1;
-            self.stats.l1_hits += 1;
-            self.push_rob(1, now + self.config.l1d.latency);
-            return true;
-        }
-        // Probe L2.
-        if self.l2.probe(addr, false) == Lookup::Hit {
-            self.stats.loads += 1;
-            self.stats.l2_hits += 1;
-            let _ = self.l1d.fill(line, false);
-            self.push_rob(1, now + self.config.l2.latency);
-            return true;
-        }
-        // Memory. Coalesce into an existing MSHR if the line is in flight.
-        if let Some(&req) = self.mshr_by_line.get(&line) {
-            self.stats.loads += 1;
-            self.stats.coalesced += 1;
-            let seq = self.push_rob(1, CpuCycle::MAX);
-            let miss = self.outstanding.get_mut(&req).expect("mshr map consistent");
-            if miss.is_prefetch {
-                self.stats.prefetch_hits += 1;
+        if missed {
+            // Charge the two probes the retry would make; both would miss.
+            self.l1d.charge_miss();
+            self.l2.charge_miss();
+            self.reprobes_charged += 2;
+        } else {
+            // Probe L1.
+            if self.l1d.probe(addr, false) == Lookup::Hit {
+                self.stats.loads += 1;
+                self.stats.l1_hits += 1;
+                self.push_rob(1, now + self.config.l1d.latency);
+                return true;
             }
-            miss.entry_seqs.push(seq);
-            self.last_load_miss = Some(req);
-            return true;
+            // Probe L2.
+            if self.l2.probe(addr, false) == Lookup::Hit {
+                self.stats.loads += 1;
+                self.stats.l2_hits += 1;
+                let _ = self.l1d.fill(line, false);
+                self.push_rob(1, now + self.config.l2.latency);
+                return true;
+            }
+            // Memory. Coalesce into an existing MSHR if the line is in flight.
+            if let Some(&req) = self.mshr_by_line.get(&line) {
+                self.stats.loads += 1;
+                self.stats.coalesced += 1;
+                let seq = self.push_rob(1, CpuCycle::MAX);
+                let miss = self.outstanding.get_mut(&req).expect("mshr map consistent");
+                if miss.is_prefetch {
+                    self.stats.prefetch_hits += 1;
+                }
+                miss.entry_seqs.push(seq);
+                self.last_load_miss = Some(req);
+                return true;
+            }
+            if let (L2Handle::Private(_), Some(cur)) = (&self.l2, self.current.as_mut()) {
+                cur.missed = true;
+            }
         }
         if self.mshr_by_line.len() >= self.config.mshrs as usize {
             return false; // all MSHRs busy
@@ -754,7 +808,11 @@ impl Core {
             } else {
                 None
             };
-            Some(CurrentOp { work_left, access })
+            Some(CurrentOp {
+                work_left,
+                access,
+                missed: false,
+            })
         } else {
             None
         };
@@ -1162,6 +1220,64 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn stalled_retries_are_charged_not_redone() {
+        // Independent streaming misses keep an 8-entry transaction
+        // partition full (the 16 MSHRs allow more), so most load retries
+        // are refused, and each retry charges its two probes.
+        let small = || {
+            let mut cfg = McConfig::paper(1, SchedulerKind::FrFcfs);
+            cfg.transaction_entries = 8;
+            fqms_memctrl::controller::MemoryController::new(
+                cfg,
+                Geometry::paper(),
+                TimingParams::ddr2_800(),
+            )
+            .unwrap()
+        };
+        let stream = || {
+            let mut i = 0u64;
+            move || {
+                i += 1;
+                TraceOp {
+                    work: 0,
+                    access: Some(MemAccess {
+                        addr: i * 64,
+                        is_write: false,
+                        dependent: false,
+                    }),
+                }
+            }
+        };
+        let mut core =
+            Core::new(CoreConfig::paper(), ThreadId::new(0), Box::new(stream())).unwrap();
+        let mut mcc = small();
+        run(&mut core, &mut mcc, 20_000);
+        let nacks = mcc.stats().thread(ThreadId::new(0)).nacks;
+        assert!(nacks > 1_000, "nacks {nacks}");
+        assert!(
+            core.reprobes_charged() > nacks,
+            "{}",
+            core.reprobes_charged()
+        );
+        core.reset_stats();
+        assert_eq!(core.reprobes_charged(), 0);
+
+        // A shared L2 never skips a probe.
+        let shared = Rc::new(RefCell::new(Cache::new(CacheConfig::paper_l2()).unwrap()));
+        let mut core = Core::with_shared_l2(
+            CoreConfig::paper(),
+            ThreadId::new(0),
+            Box::new(stream()),
+            shared,
+        )
+        .unwrap();
+        let mut mcc = small();
+        run(&mut core, &mut mcc, 20_000);
+        assert!(mcc.stats().thread(ThreadId::new(0)).nacks > 1_000);
+        assert_eq!(core.reprobes_charged(), 0);
     }
 
     #[test]

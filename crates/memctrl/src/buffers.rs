@@ -162,15 +162,17 @@ impl ThreadBuffers {
         self.writes
     }
 
-    /// True if a request of `kind` would currently be admitted.
-    pub fn can_admit(&self, kind: RequestKind) -> bool {
+    /// The [`Nack`] a request of `kind` would currently be refused with,
+    /// if any: the transaction buffer is checked first, then (for a write)
+    /// the write buffer.
+    pub fn refusal(&self, kind: RequestKind) -> Option<Nack> {
         if self.transactions >= self.transaction_capacity {
-            return false;
+            return Some(Nack::TransactionBufferFull);
         }
         if kind == RequestKind::Write && self.writes >= self.write_capacity {
-            return false;
+            return Some(Nack::WriteBufferFull);
         }
-        true
+        None
     }
 
     /// Attempts to admit a request, reserving buffer entries.
@@ -181,17 +183,13 @@ impl ThreadBuffers {
     /// is full; the caller (the processor's cache hierarchy) must retry
     /// later.
     pub fn try_admit(&mut self, kind: RequestKind) -> Result<(), Nack> {
-        if self.transactions >= self.transaction_capacity {
-            return Err(Nack::TransactionBufferFull);
+        match self.refusal(kind) {
+            Some(nack) => Err(nack),
+            None => {
+                self.force_admit(kind);
+                Ok(())
+            }
         }
-        if kind == RequestKind::Write && self.writes >= self.write_capacity {
-            return Err(Nack::WriteBufferFull);
-        }
-        self.transactions += 1;
-        if kind == RequestKind::Write {
-            self.writes += 1;
-        }
-        Ok(())
     }
 
     /// Admits a request unconditionally (shared-pool mode: the pool-level
@@ -260,7 +258,7 @@ mod tests {
     #[test]
     fn paper_capacities() {
         let b = ThreadBuffers::paper();
-        assert!(b.can_admit(RequestKind::Read));
+        assert_eq!(b.refusal(RequestKind::Read), None);
         let mut b = b;
         for _ in 0..16 {
             b.try_admit(RequestKind::Read).unwrap();
@@ -286,12 +284,18 @@ mod tests {
     fn write_lifecycle_frees_both_entries() {
         let mut b = ThreadBuffers::new(1, 1);
         b.try_admit(RequestKind::Write).unwrap();
-        assert!(!b.can_admit(RequestKind::Read));
+        assert_eq!(
+            b.refusal(RequestKind::Read),
+            Some(Nack::TransactionBufferFull)
+        );
         b.release_write_data();
         // Data left, but the transaction entry is still held.
-        assert!(!b.can_admit(RequestKind::Read));
+        assert_eq!(
+            b.refusal(RequestKind::Read),
+            Some(Nack::TransactionBufferFull)
+        );
         b.complete(RequestKind::Write);
-        assert!(b.can_admit(RequestKind::Write));
+        assert_eq!(b.refusal(RequestKind::Write), None);
     }
 
     #[test]

@@ -466,10 +466,44 @@ impl MemoryController {
     /// True if a request of `kind` from `thread` would be admitted right
     /// now (no NACK).
     pub fn can_accept(&self, thread: ThreadId, kind: RequestKind) -> bool {
+        self.buffer_refusal(thread.as_usize(), kind).is_none()
+    }
+
+    /// The buffer-full [`Nack`] a request of `kind` from thread `tid`
+    /// would be refused with right now, if any: the thread's partition, or
+    /// the shared pool (whose refusal is typed by the request's kind).
+    fn buffer_refusal(&self, tid: usize, kind: RequestKind) -> Option<Nack> {
         match self.config.buffer_sharing {
-            BufferSharing::Partitioned => self.buffers[thread.as_usize()].can_admit(kind),
-            BufferSharing::Shared => self.shared_pool_has_room(kind),
+            BufferSharing::Partitioned => self.buffers[tid].refusal(kind),
+            BufferSharing::Shared => (!self.shared_pool_has_room(kind)).then_some(match kind {
+                RequestKind::Write => Nack::WriteBufferFull,
+                RequestKind::Read => Nack::TransactionBufferFull,
+            }),
         }
+    }
+
+    /// Books a buffer-full refusal — a genuine one or a NACK storm's, which
+    /// presents exactly like one: the thread's NACK count, the saturation
+    /// detector's buffer-NACK signal and the [`Event::Nack`].
+    fn refuse<O: Observer>(
+        &mut self,
+        thread: ThreadId,
+        nack: Nack,
+        now: DramCycle,
+        obs: &mut O,
+    ) -> Nack {
+        self.stats.thread_mut(thread).nacks += 1;
+        if let Some(ov) = self.overload.as_mut() {
+            ov.note_buffer_nack();
+        }
+        if O::ENABLED {
+            obs.on_event(&Event::Nack {
+                cycle: now.as_u64(),
+                thread: thread.as_u32(),
+                is_write: nack == Nack::WriteBufferFull,
+            });
+        }
+        nack
     }
 
     /// Shared-pool admission: total occupancy across threads against the
@@ -549,20 +583,9 @@ impl MemoryController {
                     RequestKind::Write => Nack::WriteBufferFull,
                     RequestKind::Read => Nack::TransactionBufferFull,
                 };
-                self.stats.thread_mut(thread).nacks += 1;
-                if let Some(ov) = self.overload.as_mut() {
-                    // A NACK storm presents as buffer pressure, so it
-                    // feeds the saturation detector like one.
-                    ov.note_buffer_nack();
-                }
-                if O::ENABLED {
-                    obs.on_event(&Event::Nack {
-                        cycle: now.as_u64(),
-                        thread: thread.as_u32(),
-                        is_write: nack == Nack::WriteBufferFull,
-                    });
-                }
-                return Err(nack);
+                // A NACK storm presents as buffer pressure, so it also
+                // feeds the saturation detector like one.
+                return Err(self.refuse(thread, nack, now, obs));
             }
         }
         // Overload control gates admission *before* the buffer checks: a
@@ -616,47 +639,12 @@ impl MemoryController {
             }
             return Err(nack);
         }
-        if self.config.buffer_sharing == BufferSharing::Shared && !self.shared_pool_has_room(kind) {
-            self.stats.thread_mut(thread).nacks += 1;
-            if let Some(ov) = self.overload.as_mut() {
-                ov.note_buffer_nack();
-            }
-            let nack = match kind {
-                RequestKind::Write => Nack::WriteBufferFull,
-                RequestKind::Read => Nack::TransactionBufferFull,
-            };
-            if O::ENABLED {
-                obs.on_event(&Event::Nack {
-                    cycle: now.as_u64(),
-                    thread: thread.as_u32(),
-                    is_write: nack == Nack::WriteBufferFull,
-                });
-            }
-            return Err(nack);
+        if let Some(nack) = self.buffer_refusal(tid, kind) {
+            return Err(self.refuse(thread, nack, now, obs));
         }
         // Per-thread accounting always happens (it tracks who holds what);
         // in shared mode the per-thread cap is lifted to the pool size.
-        let admit = match self.config.buffer_sharing {
-            BufferSharing::Partitioned => self.buffers[tid].try_admit(kind),
-            BufferSharing::Shared => {
-                self.buffers[tid].force_admit(kind);
-                Ok(())
-            }
-        };
-        if let Err(nack) = admit {
-            self.stats.thread_mut(thread).nacks += 1;
-            if let Some(ov) = self.overload.as_mut() {
-                ov.note_buffer_nack();
-            }
-            if O::ENABLED {
-                obs.on_event(&Event::Nack {
-                    cycle: now.as_u64(),
-                    thread: thread.as_u32(),
-                    is_write: nack == Nack::WriteBufferFull,
-                });
-            }
-            return Err(nack);
-        }
+        self.buffers[tid].force_admit(kind);
         self.tx_used += 1;
         if kind == RequestKind::Write {
             self.wr_used += 1;

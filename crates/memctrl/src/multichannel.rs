@@ -195,8 +195,14 @@ impl MultiChannelController {
         now: DramCycle,
     ) -> Result<RequestId, Nack> {
         // Strip the channel bits so each channel sees a dense address
-        // space (otherwise only 1/N of each channel's rows are used).
-        let (ch, local) = Self::localize(self.line_bytes, self.channels.len(), phys);
+        // space (otherwise only 1/N of each channel's rows are used). One
+        // channel maps every address to itself; a core retrying a refused
+        // request submits every CPU cycle, so spare it the divisions.
+        let (ch, local) = if self.channels.len() == 1 {
+            (0, phys)
+        } else {
+            Self::localize(self.line_bytes, self.channels.len(), phys)
+        };
         match self.observers.get_mut(ch) {
             Some(obs) => self.channels[ch].try_submit_observed(thread, kind, local, now, obs),
             None => self.channels[ch].try_submit(thread, kind, local, now),
@@ -423,6 +429,18 @@ mod tests {
         assert_eq!(m.route(64), 1);
         assert_eq!(m.route(128), 0);
         assert_eq!(m.route(65), 1); // same line, same channel
+    }
+
+    #[test]
+    fn one_channel_localizes_every_address_to_itself() {
+        // `try_submit` skips `localize` for a single channel.
+        let mut rng = SimRng::new(3);
+        for phys in [0, 63, 64, 0x1234_5678]
+            .into_iter()
+            .chain((0..64).map(|_| rng.next_u64()))
+        {
+            assert_eq!(MultiChannelController::localize(64, 1, phys), (0, phys));
+        }
     }
 
     #[test]
